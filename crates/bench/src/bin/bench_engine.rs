@@ -24,23 +24,34 @@
 //! Legacy and fast replay the same trace on the same fleet and must render
 //! byte-identical reports (asserted on every run), so the headline
 //! `speedup_vs_legacy` is a pure engine-speed delta. The sharded case
-//! deliberately replays a *partitioned* fleet — cell-style scheduling, not
-//! the same simulation — so it is reported but never compared byte-for-byte
-//! against the single-fleet runs.
+//! deliberately replays a *partitioned* fleet — cell-style scheduling over
+//! four times the replicas, not the same simulation — so it is reported
+//! next to `fast_serial_big` (each row carries its replica count) but
+//! never compared with it, byte-for-byte or by a speed ratio.
+//!
+//! Every case also reports `decode_step_evals`: the exact number of
+//! `CostModel::decode_step_time` calls it made, counted by a wrapper
+//! shared as one `Arc` across the fleet (so the engine's prediction
+//! groups are unchanged). The count is deterministic, unlike wall time.
 //!
 //! With `--baseline <path>` the run exits non-zero if the `fast_1e5`,
-//! `paged_1e5`, or `tp_1e5` case regressed more than 30% in requests/second
-//! against a previously committed summary — the CI throughput floor.
+//! `paged_1e5`, or `tp_1e5` case made more decode-step evaluations than a
+//! previously committed summary (the exact floor), or regressed more than
+//! 30% in requests/second against it (the noisy wall-clock backstop).
 
 use llmsim_cluster::{
     shard_fleet, simulate_fleet, simulate_fleet_legacy, simulate_fleet_traced, simulate_shards,
     ClusterConfig, ClusterRequest, FleetReport, JoinShortestQueue, KvConfig, ReplicaConfig,
     RouterPolicy,
 };
-use llmsim_core::{CostModel, CpuBackend, StreamSink, TensorParallel};
-use llmsim_model::families;
+use llmsim_core::{
+    Backend, CostModel, CpuBackend, InferenceReport, Request, SimError, StreamSink, TensorParallel,
+};
+use llmsim_hw::{Bytes, GbPerSec, Seconds};
+use llmsim_model::{families, ModelConfig};
 use llmsim_workload::synthetic::{synthesize, synthesize_sessions, SessionSpec, SyntheticSpec};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -60,13 +71,77 @@ fn time_one<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (t0.elapsed().as_secs_f64(), out)
 }
 
-/// Eight warm Sapphire Rapids replicas sharing one backend `Arc`, serving
+/// A cost model that counts its `decode_step_time` calls and otherwise
+/// delegates. Atomic, because the sharded case prices on several threads;
+/// the total is still exact, since each cell's pricing work is fixed.
+struct Counted {
+    inner: Box<dyn CostModel + Send + Sync>,
+    decode_steps: AtomicU64,
+}
+
+impl Counted {
+    /// Calls counted since the last `take`, resetting the count.
+    fn take(&self) -> u64 {
+        self.decode_steps.swap(0, Ordering::Relaxed)
+    }
+}
+
+impl Backend for Counted {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn run(&self, model: &ModelConfig, request: &Request) -> Result<InferenceReport, SimError> {
+        self.inner.run(model, request)
+    }
+}
+
+impl CostModel for Counted {
+    fn prefill_time(&self, model: &ModelConfig, batch: u64, prompt_len: u64) -> Seconds {
+        self.inner.prefill_time(model, batch, prompt_len)
+    }
+
+    fn decode_step_time(&self, model: &ModelConfig, batch: u64, kv_len: u64) -> Seconds {
+        self.decode_steps.fetch_add(1, Ordering::Relaxed);
+        self.inner.decode_step_time(model, batch, kv_len)
+    }
+
+    fn weight_bytes(&self, model: &ModelConfig) -> Bytes {
+        self.inner.weight_bytes(model)
+    }
+
+    fn weight_load_bandwidth(&self) -> GbPerSec {
+        self.inner.weight_load_bandwidth()
+    }
+
+    fn holds_resident(&self, model: &ModelConfig) -> bool {
+        self.inner.holds_resident(model)
+    }
+
+    fn kv_capacity_bytes(&self, models: &[ModelConfig]) -> Bytes {
+        self.inner.kv_capacity_bytes(models)
+    }
+}
+
+/// Eight warm replicas sharing one counted `backend` `Arc`, serving
 /// OPT-13B. Sharing the `Arc` keeps the whole fleet in a single prediction
 /// group, which is the common production shape (homogeneous cells).
-fn fleet() -> ClusterConfig {
-    let spr: Arc<dyn CostModel + Send + Sync> = Arc::new(CpuBackend::paper_spr());
-    let replicas: Vec<ReplicaConfig> = (0..8).map(|_| ReplicaConfig::warm(spr.clone())).collect();
-    ClusterConfig::new(replicas, vec![families::opt_13b()])
+fn counted_fleet(backend: impl CostModel + Send + Sync + 'static) -> (ClusterConfig, Arc<Counted>) {
+    let counted = Arc::new(Counted {
+        inner: Box::new(backend),
+        decode_steps: AtomicU64::new(0),
+    });
+    let shared: Arc<dyn CostModel + Send + Sync> = counted.clone();
+    let replicas: Vec<ReplicaConfig> = (0..8)
+        .map(|_| ReplicaConfig::warm(shared.clone()))
+        .collect();
+    let config = ClusterConfig::new(replicas, vec![families::opt_13b()]);
+    (config, counted)
+}
+
+/// Eight warm Sapphire Rapids replicas (see [`counted_fleet`]).
+fn fleet() -> (ClusterConfig, Arc<Counted>) {
+    counted_fleet(CpuBackend::paper_spr())
 }
 
 /// Seeded `service_day` trace of `n` requests bound to model 0.
@@ -86,14 +161,11 @@ fn trace(n: usize) -> Vec<ClusterRequest> {
 }
 
 /// Eight warm replicas each backed by a 2-socket SPR tensor-parallel
-/// group — the multi-socket serving shape. Shares one `Arc` like
-/// [`fleet`] so the prediction cache stays in a single group.
-fn tp_fleet() -> ClusterConfig {
+/// group — the multi-socket serving shape (see [`counted_fleet`]).
+fn tp_fleet() -> (ClusterConfig, Arc<Counted>) {
     let tp2 = TensorParallel::across_sockets(CpuBackend::paper_spr(), 2)
         .expect("degree 2 is valid for the bench model");
-    let tp2: Arc<dyn CostModel + Send + Sync> = Arc::new(tp2);
-    let replicas: Vec<ReplicaConfig> = (0..8).map(|_| ReplicaConfig::warm(tp2.clone())).collect();
-    ClusterConfig::new(replicas, vec![families::opt_13b()])
+    counted_fleet(tp2)
 }
 
 /// Seeded multi-turn session trace of roughly `sessions` x 5 requests
@@ -123,7 +195,10 @@ fn router() -> Box<dyn RouterPolicy> {
 struct CaseRow {
     name: &'static str,
     requests: usize,
+    /// Replicas simulated (summed over cells for the sharded case).
+    replicas: usize,
     wall_s: f64,
+    decode_step_evals: u64,
     report: FleetReport,
 }
 
@@ -133,38 +208,53 @@ impl CaseRow {
     }
 }
 
+/// Times one replay of `requests` over `replicas` replicas, counting the
+/// decode-step evaluations it makes through `evals`.
 fn run_case(
     name: &'static str,
     requests: &[ClusterRequest],
+    replicas: usize,
+    evals: &Counted,
     f: impl FnOnce(&[ClusterRequest]) -> FleetReport,
 ) -> CaseRow {
+    evals.take();
     let (wall_s, report) = time_one(|| f(requests));
     let row = CaseRow {
         name,
         requests: requests.len(),
+        replicas,
         wall_s,
+        decode_step_evals: evals.take(),
         report,
     };
     eprintln!(
-        "{:>14}: n={:>7} wall={:>9.3}s ({:>9.0} req/s) completed={} rejected={}",
+        "{:>15}: n={:>7} replicas={:>2} wall={:>9.3}s ({:>9.0} req/s) decode_step_evals={} completed={} rejected={}",
         row.name,
         row.requests,
+        row.replicas,
         row.wall_s,
         row.req_per_s(),
+        row.decode_step_evals,
         row.report.completed(),
         row.report.rejected(),
     );
     row
 }
 
-/// Crude extraction of `"req_per_s"` for the named case from a previously
-/// emitted summary — the bench crate deliberately has no JSON parser.
-fn baseline_req_per_s(json: &str, case: &str) -> Option<f64> {
+/// Crude extraction of the numeric field `key` for the named case from a
+/// previously emitted summary — the bench crate deliberately has no JSON
+/// parser.
+fn baseline_field(json: &str, case: &str, key: &str) -> Option<f64> {
     let at = json.find(&format!("\"name\": \"{case}\""))?;
-    let rest = &json[at..];
-    let key = "\"req_per_s\": ";
-    let v = &rest[rest.find(key)? + key.len()..];
-    let end = v.find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())?;
+    // Stop at the case's closing brace, so a field missing from this case
+    // is never read from the next one.
+    let row = &json[at..];
+    let row = &row[..row.find('}')?];
+    let key = format!("\"{key}\": ");
+    let v = &row[row.find(&key)? + key.len()..];
+    let end = v
+        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
+        .unwrap_or(v.len());
     v[..end].parse().ok()
 }
 
@@ -197,7 +287,8 @@ fn main() {
         }
     }
 
-    let config = fleet();
+    let (config, evals) = fleet();
+    let replicas = config.replicas.len();
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
 
     // Quick mode (CI) trims the legacy run to 1e4 — the seed engine is
@@ -211,7 +302,7 @@ fn main() {
     let fast_trace = trace(n_fast);
     let big = trace(n_big);
 
-    let legacy_row = run_case("legacy", &small, |reqs| {
+    let legacy_row = run_case("legacy", &small, replicas, &evals, |reqs| {
         simulate_fleet_legacy(&config, &mut *router(), reqs)
     });
     // Byte-identity gate: the rewrite must not move a single output byte.
@@ -222,11 +313,11 @@ fn main() {
         "fast engine diverged from the seed engine on the bench trace"
     );
 
-    let fast_row = run_case("fast_1e5", &fast_trace, |reqs| {
+    let fast_row = run_case("fast_1e5", &fast_trace, replicas, &evals, |reqs| {
         simulate_fleet(&config, &mut *router(), reqs)
     });
 
-    let traced_row = run_case("traced_1e5", &fast_trace, |reqs| {
+    let traced_row = run_case("traced_1e5", &fast_trace, replicas, &evals, |reqs| {
         let mut sink = StreamSink::tsv(std::io::sink());
         let report = simulate_fleet_traced(&config, &mut *router(), reqs, &mut sink);
         sink.finish_into().expect("sink write cannot fail");
@@ -240,29 +331,33 @@ fn main() {
 
     // Paged-KV case: same fleet plus a memory-derived block pool, on a
     // session trace sized to ~1e5 requests (20k sessions x ~5 turns).
-    let paged_config = fleet().with_kv(KvConfig::new());
+    let (paged_config, paged_evals) = fleet();
+    let paged_config = paged_config.with_kv(KvConfig::new());
     let paged_trace = session_trace(20_000);
-    let paged_row = run_case("paged_1e5", &paged_trace, |reqs| {
+    let paged_row = run_case("paged_1e5", &paged_trace, replicas, &paged_evals, |reqs| {
         simulate_fleet(&paged_config, &mut *router(), reqs)
     });
 
     // Tensor-parallel case: the same 1e5 trace on the TP2 fleet. Every
     // routing prediction walks the sharded graph and adds the all-reduce
     // tax, so this bounds the memoized-pricing overhead of `core::tp`.
-    let tp_config = tp_fleet();
-    let tp_row = run_case("tp_1e5", &fast_trace, |reqs| {
+    let (tp_config, tp_evals) = tp_fleet();
+    let tp_row = run_case("tp_1e5", &fast_trace, replicas, &tp_evals, |reqs| {
         simulate_fleet(&tp_config, &mut *router(), reqs)
     });
 
-    let serial_big_row = run_case("fast_serial_big", &big, |reqs| {
+    let serial_big_row = run_case("fast_serial_big", &big, replicas, &evals, |reqs| {
         simulate_fleet(&config, &mut *router(), reqs)
     });
 
     // At least four shards so the deal/merge machinery runs even on a
     // single-core host (where the case measures shard overhead, not gain).
+    // Every cell is a full copy of the fleet, so this simulates
+    // `shards.len()` times the replicas of `fast_serial_big`: a different
+    // simulation, reported beside it rather than divided by it.
     let shards = shard_fleet(&config, &big, threads.max(4));
     let make_router: &(dyn Fn(usize) -> Box<dyn RouterPolicy> + Sync) = &|_| router();
-    let sharded_big_row = run_case("sharded_big", &big, |_| {
+    let sharded_big_row = run_case("sharded_big", &big, replicas * shards.len(), &evals, |_| {
         simulate_shards(&shards, make_router, threads)
     });
 
@@ -279,7 +374,6 @@ fn main() {
     // In quick mode legacy ran a shorter trace, so compare rates, not walls.
     let speedup = fast_row.req_per_s() / legacy_row.req_per_s().max(1e-9);
     let traced_overhead = traced_row.wall_s / fast_row.wall_s.max(1e-9) - 1.0;
-    let shard_speedup = serial_big_row.wall_s / sharded_big_row.wall_s.max(1e-9);
 
     let mut json = String::new();
     let mut w = |line: &str| {
@@ -296,11 +390,13 @@ fn main() {
     for (i, row) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         w(&format!(
-            "    {{ \"name\": \"{}\", \"requests\": {}, \"wall_s\": {:.4}, \"req_per_s\": {:.1}, \"events\": {}, \"completed\": {}, \"rejected\": {} }}{}",
+            "    {{ \"name\": \"{}\", \"requests\": {}, \"replicas\": {}, \"wall_s\": {:.4}, \"req_per_s\": {:.1}, \"decode_step_evals\": {}, \"events\": {}, \"completed\": {}, \"rejected\": {} }}{}",
             row.name,
             row.requests,
+            row.replicas,
             row.wall_s,
             row.req_per_s(),
+            row.decode_step_evals,
             row.report.events_processed,
             row.report.completed(),
             row.report.rejected(),
@@ -309,10 +405,7 @@ fn main() {
     }
     w("  ],");
     w(&format!("  \"speedup_vs_legacy\": {speedup:.1},"));
-    w(&format!(
-        "  \"traced_overhead_frac\": {traced_overhead:.4},"
-    ));
-    w(&format!("  \"shard_speedup\": {shard_speedup:.2}"));
+    w(&format!("  \"traced_overhead_frac\": {traced_overhead:.4}"));
     w("}");
 
     if let Err(e) = std::fs::write(&out_path, &json) {
@@ -327,16 +420,27 @@ fn main() {
             eprintln!("failed to read baseline {path}: {e}");
             std::process::exit(2);
         });
-        let mut failed = false;
-        for (case, now) in [
-            ("fast_1e5", fast_row.req_per_s()),
-            ("paged_1e5", paged_row.req_per_s()),
-            ("tp_1e5", tp_row.req_per_s()),
-        ] {
-            let Some(base) = baseline_req_per_s(&text, case) else {
-                eprintln!("baseline {path} has no {case} req_per_s");
+        let field = |case: &str, key: &str| {
+            baseline_field(&text, case, key).unwrap_or_else(|| {
+                eprintln!("baseline {path} has no {case} {key}");
                 std::process::exit(2);
-            };
+            })
+        };
+        let mut failed = false;
+        for row in [&fast_row, &paged_row, &tp_row] {
+            let case = row.name;
+            // Exact floor first: the pricing work of a fixed trace is
+            // deterministic, so any rise is a real regression.
+            let now = row.decode_step_evals;
+            let base = field(case, "decode_step_evals");
+            eprintln!("pricing floor: {case} {now} decode-step evals vs baseline {base:.0}");
+            if now as f64 > base {
+                eprintln!("FAIL: {case} made more decode-step evaluations than {path}");
+                failed = true;
+            }
+            // Wall-clock backstop, loose enough to ride out host noise.
+            let now = row.req_per_s();
+            let base = field(case, "req_per_s");
             let floor = base * 0.7;
             eprintln!(
                 "throughput floor: {case} {now:.0} req/s vs baseline {base:.0} (floor {floor:.0})"

@@ -21,8 +21,10 @@
 //!   walks the model's phase graph per decode step (O(`gen_len`) graph
 //!   builds), and the router priced every replica on every arrival. A
 //!   [`PredictCache`] memoizes service and prefill predictions per
-//!   (backend, model, batch, shape); the memoized value is the *same
-//!   fold* the legacy engine computes, so reuse is bit-exact.
+//!   (backend, model, batch, shape), and under them each decode step's
+//!   price per (backend, model, batch, `kv_len`), so a simulation prices
+//!   every distinct step once; the memoized value is the *same fold* the
+//!   legacy engine computes, so reuse is bit-exact.
 //! - **Per-event allocation** — router snapshots (`Vec<ReplicaView>` with
 //!   a fresh name `String` per replica), in-flight records moved through
 //!   queues by value. Views are now built once and refreshed in place,
@@ -289,10 +291,10 @@ impl ClusterConfig {
 /// The router's predictions and the replica's actual charging both call
 /// this (through [`PredictCache`] on the fast path), so prediction error
 /// can only come from batch-width changes after routing, never from the
-/// pricing itself. The fold order is load-bearing: the memoized fast path
-/// caches the *result* of this exact fold, never a re-associated prefix
-/// sum, because float addition order is part of the byte-identity
-/// contract with the legacy engine.
+/// pricing itself. The unmemoized oracle here and the memoized fast path
+/// share one fold, [`fold_service_s`]; they differ only in where a step's
+/// price comes from (the cost model directly, or [`PredictCache`]'s
+/// per-step table, which holds the cost model's own value for that step).
 pub(crate) fn predict_service_s(
     backend: &dyn CostModel,
     model: &ModelConfig,
@@ -301,11 +303,24 @@ pub(crate) fn predict_service_s(
     gen_len: u64,
 ) -> f64 {
     let prefill = backend.prefill_time(model, batch, prompt_len).as_f64();
-    (0..gen_len.saturating_sub(1)).fold(prefill, |acc, step| {
-        acc + backend
-            .decode_step_time(model, batch, prompt_len + 1 + step)
-            .as_f64()
+    fold_service_s(prefill, prompt_len, gen_len, |kv_len| {
+        backend.decode_step_time(model, batch, kv_len).as_f64()
     })
+}
+
+/// The service-time fold, written once: `prefill`, then `+ step_s(kv_len)`
+/// for each decode step in order, `kv_len` running from `prompt_len + 1`
+/// to `prompt_len + gen_len - 1`. The order is load-bearing: float
+/// addition order is part of the byte-identity contract with the legacy
+/// engine, so callers may change where a step's price comes from, never
+/// the sum — no prefix sums, no re-association.
+fn fold_service_s(
+    prefill: f64,
+    prompt_len: u64,
+    gen_len: u64,
+    mut step_s: impl FnMut(u64) -> f64,
+) -> f64 {
+    (0..gen_len.saturating_sub(1)).fold(prefill, |acc, step| acc + step_s(prompt_len + 1 + step))
 }
 
 /// Memo of cost-model predictions, keyed by (backend group, model index,
@@ -314,12 +329,25 @@ pub(crate) fn predict_service_s(
 /// shape once instead of 8× per arrival. `BTreeMap` rather than a hash
 /// map: iteration order never matters here (the memo is only probed), but
 /// the workspace determinism lint (D001) bans randomized-layout
-/// containers from sim-state crates outright, and at the few thousand
-/// distinct shapes a quantized trace produces the tree's O(log n) probes
-/// are already noise against the O(`gen_len`) graph walks they replace.
+/// containers from sim-state crates outright.
+///
+/// Under the request-level memo sits a per-step decode price table: one
+/// dense row per (group, model index, batch), indexed by `kv_len`, grown
+/// on demand and filled lazily with NaN meaning "not priced yet". A
+/// `service` miss takes its prefill from the prefill memo and folds the
+/// row's entries through [`fold_service_s`], calling the cost model only
+/// for empty slots. Requests of different shapes overlap heavily in the
+/// steps they walk, so each distinct (group, model, batch, `kv_len`) step
+/// is priced exactly once per simulation instead of once per request
+/// shape that crosses it. The result is bit-exact: a step price is a pure
+/// function of its key, and the fold order is unchanged. (A backend that
+/// priced a step as NaN would merely be re-asked each time.)
 struct PredictCache {
     service: BTreeMap<(u32, u32, u64, u64, u64), f64>,
     prefill: BTreeMap<(u32, u32, u64, u64), f64>,
+    /// Per-step decode prices by (group, model index, batch); row index
+    /// is `kv_len`, NaN = not priced yet.
+    steps: BTreeMap<(u32, u32, u64), Vec<f64>>,
     /// Backend-identity group of each replica (`Arc::ptr_eq` classes).
     groups: Vec<u32>,
 }
@@ -341,6 +369,7 @@ impl PredictCache {
         PredictCache {
             service: BTreeMap::new(),
             prefill: BTreeMap::new(),
+            steps: BTreeMap::new(),
             groups,
         }
     }
@@ -357,17 +386,31 @@ impl PredictCache {
         prompt_len: u64,
         gen_len: u64,
     ) -> f64 {
-        let key = (
-            self.groups[idx],
-            model_ix as u32,
-            batch,
-            prompt_len,
-            gen_len,
-        );
-        *self
-            .service
-            .entry(key)
-            .or_insert_with(|| predict_service_s(backend, model, batch, prompt_len, gen_len))
+        let group = self.groups[idx];
+        let key = (group, model_ix as u32, batch, prompt_len, gen_len);
+        if let Some(&s) = self.service.get(&key) {
+            return s;
+        }
+        let prefill = self.prefill(idx, backend, model_ix, model, batch, prompt_len);
+        let row = self
+            .steps
+            .entry((group, model_ix as u32, batch))
+            .or_default();
+        // One past the last step's `kv_len`; rows only grow when a step
+        // actually lands beyond them, so prefill-only requests add nothing.
+        let end = (prompt_len + gen_len) as usize;
+        let s = fold_service_s(prefill, prompt_len, gen_len, |kv_len| {
+            let k = kv_len as usize;
+            if k >= row.len() {
+                row.resize(end, f64::NAN);
+            }
+            if row[k].is_nan() {
+                row[k] = backend.decode_step_time(model, batch, kv_len).as_f64();
+            }
+            row[k]
+        });
+        self.service.insert(key, s);
+        s
     }
 
     /// Memoized prefill time for replica `idx`'s backend.
@@ -1780,7 +1823,7 @@ mod tests {
     use super::*;
     use crate::router::{HeteroAware, JoinShortestQueue, RoundRobin};
     use llmsim_core::{CostModel, CpuBackend};
-    use llmsim_hw::{presets, NumaConfig};
+    use llmsim_hw::{presets, Bytes, GbPerSec, NumaConfig, Seconds};
     use llmsim_model::{families, DType};
     use std::sync::Arc;
 
@@ -2007,5 +2050,173 @@ mod tests {
         let b = simulate_fleet(&config_owned, &mut RoundRobin::new(), &reqs);
         assert_eq!(a.render(), b.render());
         assert_eq!(format!("{:?}", a.outcomes), format!("{:?}", b.outcomes));
+    }
+
+    /// Delegates to an SPR cost model and logs every decode step it is
+    /// asked to price, so tests can count pricing work. Shared as one
+    /// `Arc` across replicas, it forms one prediction group.
+    struct CountingCost {
+        inner: CpuBackend,
+        steps: std::sync::Mutex<Vec<(String, u64, u64)>>,
+    }
+
+    impl CountingCost {
+        fn new() -> Self {
+            CountingCost {
+                inner: CpuBackend::paper_spr(),
+                steps: std::sync::Mutex::new(Vec::new()),
+            }
+        }
+
+        /// Every (model, batch, kv_len) priced so far, in call order.
+        fn priced(&self) -> Vec<(String, u64, u64)> {
+            self.steps.lock().expect("no panics while held").clone()
+        }
+    }
+
+    impl llmsim_core::Backend for CountingCost {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn run(
+            &self,
+            model: &ModelConfig,
+            request: &llmsim_core::Request,
+        ) -> Result<llmsim_core::InferenceReport, llmsim_core::SimError> {
+            self.inner.run(model, request)
+        }
+    }
+
+    impl CostModel for CountingCost {
+        fn prefill_time(&self, model: &ModelConfig, batch: u64, prompt_len: u64) -> Seconds {
+            self.inner.prefill_time(model, batch, prompt_len)
+        }
+
+        fn decode_step_time(&self, model: &ModelConfig, batch: u64, kv_len: u64) -> Seconds {
+            self.steps.lock().expect("no panics while held").push((
+                model.name.clone(),
+                batch,
+                kv_len,
+            ));
+            self.inner.decode_step_time(model, batch, kv_len)
+        }
+
+        fn weight_bytes(&self, model: &ModelConfig) -> Bytes {
+            self.inner.weight_bytes(model)
+        }
+
+        fn weight_load_bandwidth(&self) -> GbPerSec {
+            self.inner.weight_load_bandwidth()
+        }
+
+        fn holds_resident(&self, model: &ModelConfig) -> bool {
+            self.inner.holds_resident(model)
+        }
+
+        fn kv_capacity_bytes(&self, models: &[ModelConfig]) -> Bytes {
+            self.inner.kv_capacity_bytes(models)
+        }
+    }
+
+    #[test]
+    fn step_table_is_bit_exact_and_prices_each_step_once() {
+        // Overlapping kv ranges (80+16 and 64+2 inside 64+48, all inside
+        // 40+100), a disjoint shape that grows the row past every other
+        // (200+3), and the prefill-only edges gen_len 0 and 1.
+        let shapes: [(u64, u64); 8] = [
+            (64, 2),
+            (80, 16),
+            (64, 48),
+            (40, 100),
+            (200, 3),
+            (64, 0),
+            (64, 1),
+            (64, 48),
+        ];
+        let models = [families::opt_1_3b(), families::opt_13b()];
+        // Short-first (as listed) and long-first (reversed) fill orders.
+        for reverse in [false, true] {
+            let shared = Arc::new(CountingCost::new());
+            let alone = Arc::new(CountingCost::new());
+            let dyn_shared: Arc<dyn CostModel + Send + Sync> = shared.clone();
+            let dyn_alone: Arc<dyn CostModel + Send + Sync> = alone.clone();
+            // Replicas 0..3 share one group; replica 3 is a group of its own.
+            let replicas: Vec<ReplicaConfig> = (0..3)
+                .map(|_| ReplicaConfig::warm(dyn_shared.clone()))
+                .chain(std::iter::once(ReplicaConfig::warm(dyn_alone.clone())))
+                .collect();
+            let mut cache = PredictCache::new(&replicas);
+            let mut order: Vec<(u64, u64)> = shapes.to_vec();
+            if reverse {
+                order.reverse();
+            }
+            let mut expected = std::collections::BTreeSet::new();
+            for pass in 0..2 {
+                for (m, model) in models.iter().enumerate() {
+                    for batch in [1, 3] {
+                        for &(prompt, gen) in &order {
+                            for kv in prompt + 1..prompt + gen {
+                                expected.insert((model.name.clone(), batch, kv));
+                            }
+                            let oracle =
+                                predict_service_s(&shared.inner, model, batch, prompt, gen);
+                            for (idx, r) in replicas.iter().enumerate() {
+                                let memo = cache.service(
+                                    idx,
+                                    r.backend.as_ref(),
+                                    m,
+                                    model,
+                                    batch,
+                                    prompt,
+                                    gen,
+                                );
+                                assert_eq!(
+                                    memo.to_bits(),
+                                    oracle.to_bits(),
+                                    "pass {pass} replica {idx} {} b={batch} p={prompt} g={gen}",
+                                    model.name
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            // Each group priced every distinct step exactly once, across
+            // both passes and all of its replicas.
+            for group in [&shared, &alone] {
+                let priced = group.priced();
+                let distinct: std::collections::BTreeSet<_> = priced.iter().cloned().collect();
+                assert_eq!(priced.len(), distinct.len(), "a step was priced twice");
+                assert_eq!(distinct, expected);
+            }
+        }
+    }
+
+    #[test]
+    fn fleet_replay_prices_each_decode_step_once() {
+        let counting = Arc::new(CountingCost::new());
+        let backend: Arc<dyn CostModel + Send + Sync> = counting.clone();
+        let config = ClusterConfig::new(
+            (0..4)
+                .map(|_| ReplicaConfig::warm(backend.clone()).with_max_batch(4))
+                .collect(),
+            vec![families::opt_13b()],
+        );
+        let reqs: Vec<ClusterRequest> = (0..60)
+            .map(|i| ClusterRequest {
+                id: i,
+                arrival_s: i as f64 * 0.05,
+                prompt_len: 32 + (i as u64 * 37) % 96,
+                gen_len: 1 + (i as u64 * 11) % 24,
+                ..ClusterRequest::default()
+            })
+            .collect();
+        let report = simulate_fleet(&config, &mut JoinShortestQueue, &reqs);
+        assert_eq!(report.completed(), reqs.len());
+        let priced = counting.priced();
+        let distinct: std::collections::BTreeSet<_> = priced.iter().collect();
+        assert!(!priced.is_empty());
+        assert_eq!(priced.len(), distinct.len(), "a step was priced twice");
     }
 }
