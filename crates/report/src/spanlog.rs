@@ -270,6 +270,53 @@ mod tests {
     }
 
     #[test]
+    fn golden_tsv_and_jsonl_bytes() {
+        // Exact wire bytes for the edge cases of every cell kind. The
+        // streaming-vs-buffered proptest shares the line formatter, so it
+        // cannot catch a change to it; this test can.
+        let mut t = TabularLog::new(vec![
+            "nan".into(),
+            "neg_zero".into(),
+            "tiny".into(),
+            "huge".into(),
+            "inf".into(),
+            "min".into(),
+            "s".into(),
+        ]);
+        t.row(vec![
+            Cell::Num(f64::NAN),
+            Cell::Num(-0.0),
+            Cell::Num(1e-7),
+            Cell::Num(1e21),
+            Cell::Num(f64::INFINITY),
+            Cell::Int(i64::MIN),
+            Cell::Str("a\tb\nc".into()),
+        ]);
+        t.row(vec![
+            Cell::Num(0.25),
+            Cell::Num(0.0),
+            Cell::Num(-1.5),
+            Cell::Num(123_456_789.0),
+            Cell::Num(f64::NEG_INFINITY),
+            Cell::Int(i64::MAX),
+            Cell::Str(String::new()),
+        ]);
+        assert_eq!(
+            t.to_tsv(),
+            "nan\tneg_zero\ttiny\thuge\tinf\tmin\ts\n\
+             NaN\t-0\t0.0000001\t1000000000000000000000\tinf\t-9223372036854775808\ta b c\n\
+             0.25\t0\t-1.5\t123456789\t-inf\t9223372036854775807\t\n"
+        );
+        assert_eq!(
+            t.to_jsonl(),
+            "{\"nan\":null,\"neg_zero\":-0,\"tiny\":0.0000001,\"huge\":1000000000000000000000,\
+             \"inf\":null,\"min\":-9223372036854775808,\"s\":\"a\\tb\\nc\"}\n\
+             {\"nan\":0.25,\"neg_zero\":0,\"tiny\":-1.5,\"huge\":123456789,\
+             \"inf\":null,\"min\":9223372036854775807,\"s\":\"\"}\n"
+        );
+    }
+
+    #[test]
     fn rendering_is_deterministic() {
         assert_eq!(sample().to_tsv(), sample().to_tsv());
         assert_eq!(sample().to_jsonl(), sample().to_jsonl());
