@@ -29,15 +29,21 @@
 //! next to `fast_serial_big` (each row carries its replica count) but
 //! never compared with it, byte-for-byte or by a speed ratio.
 //!
-//! Every case also reports `decode_step_evals`: the exact number of
-//! `CostModel::decode_step_time` calls it made, counted by a wrapper
-//! shared as one `Arc` across the fleet (so the engine's prediction
-//! groups are unchanged). The count is deterministic, unlike wall time.
+//! Every case also reports its pricing work, counted by a wrapper shared
+//! as one `Arc` across the fleet (so the engine's prediction groups are
+//! unchanged): `decode_step_evals`, the exact number of decode steps
+//! priced (one per `decode_step_time` call, `out.len()` per
+//! `decode_step_times` row call); `decode_step_runs`, the number of calls
+//! that priced them; and `pricing_s`, the host seconds spent inside the
+//! cost model, so each case shows its pricing share of wall time. The
+//! counts are deterministic, unlike the times.
 //!
-//! With `--baseline <path>` the run exits non-zero if the `fast_1e5`,
-//! `paged_1e5`, or `tp_1e5` case made more decode-step evaluations than a
-//! previously committed summary (the exact floor), or regressed more than
-//! 30% in requests/second against it (the noisy wall-clock backstop).
+//! The `fast_1e5`, `paged_1e5` and `tp_1e5` cases are the regression
+//! gate: each runs once to warm up, then three timed samples, and reports
+//! the median-wall sample. With `--baseline <path>` the run exits non-zero
+//! if one of them priced more decode steps than a previously committed
+//! summary (the exact floor), or its median regressed more than 30% in
+//! requests/second against it (the wall-clock backstop).
 
 use llmsim_cluster::{
     shard_fleet, simulate_fleet, simulate_fleet_legacy, simulate_fleet_traced, simulate_shards,
@@ -71,18 +77,53 @@ fn time_one<T>(f: impl FnOnce() -> T) -> (f64, T) {
     (t0.elapsed().as_secs_f64(), out)
 }
 
-/// A cost model that counts its `decode_step_time` calls and otherwise
+/// A cost model that counts the decode steps it prices, the calls that
+/// priced them, and the host time spent inside it, and otherwise
 /// delegates. Atomic, because the sharded case prices on several threads;
-/// the total is still exact, since each cell's pricing work is fixed.
+/// the counts are still exact, since each cell's pricing work is fixed.
+#[derive(Default)]
+struct PricingCounters {
+    decode_steps: AtomicU64,
+    decode_runs: AtomicU64,
+    nanos: AtomicU64,
+}
+
 struct Counted {
     inner: Box<dyn CostModel + Send + Sync>,
-    decode_steps: AtomicU64,
+    counters: PricingCounters,
+}
+
+/// Pricing work of one replay.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Pricing {
+    decode_step_evals: u64,
+    decode_step_runs: u64,
+    pricing_s: f64,
 }
 
 impl Counted {
-    /// Calls counted since the last `take`, resetting the count.
-    fn take(&self) -> u64 {
-        self.decode_steps.swap(0, Ordering::Relaxed)
+    /// Work counted since the last `take`, resetting the counters.
+    fn take(&self) -> Pricing {
+        let c = &self.counters;
+        Pricing {
+            decode_step_evals: c.decode_steps.swap(0, Ordering::Relaxed),
+            decode_step_runs: c.decode_runs.swap(0, Ordering::Relaxed),
+            pricing_s: c.nanos.swap(0, Ordering::Relaxed) as f64 * 1e-9,
+        }
+    }
+
+    /// Runs `f` as one pricing call of `steps` decode steps (0 for prefill).
+    fn priced<T>(&self, steps: u64, f: impl FnOnce() -> T) -> T {
+        let t0 = Instant::now();
+        let out = f();
+        let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let c = &self.counters;
+        c.nanos.fetch_add(nanos, Ordering::Relaxed);
+        if steps > 0 {
+            c.decode_steps.fetch_add(steps, Ordering::Relaxed);
+            c.decode_runs.fetch_add(1, Ordering::Relaxed);
+        }
+        out
     }
 }
 
@@ -98,12 +139,27 @@ impl Backend for Counted {
 
 impl CostModel for Counted {
     fn prefill_time(&self, model: &ModelConfig, batch: u64, prompt_len: u64) -> Seconds {
-        self.inner.prefill_time(model, batch, prompt_len)
+        self.priced(0, || self.inner.prefill_time(model, batch, prompt_len))
     }
 
     fn decode_step_time(&self, model: &ModelConfig, batch: u64, kv_len: u64) -> Seconds {
-        self.decode_steps.fetch_add(1, Ordering::Relaxed);
-        self.inner.decode_step_time(model, batch, kv_len)
+        self.priced(1, || self.inner.decode_step_time(model, batch, kv_len))
+    }
+
+    fn decode_step_times(
+        &self,
+        model: &ModelConfig,
+        batch: u64,
+        first_kv_len: u64,
+        out: &mut [f64],
+    ) {
+        if out.is_empty() {
+            return;
+        }
+        self.priced(out.len() as u64, || {
+            self.inner
+                .decode_step_times(model, batch, first_kv_len, out);
+        });
     }
 
     fn weight_bytes(&self, model: &ModelConfig) -> Bytes {
@@ -129,7 +185,7 @@ impl CostModel for Counted {
 fn counted_fleet(backend: impl CostModel + Send + Sync + 'static) -> (ClusterConfig, Arc<Counted>) {
     let counted = Arc::new(Counted {
         inner: Box::new(backend),
-        decode_steps: AtomicU64::new(0),
+        counters: PricingCounters::default(),
     });
     let shared: Arc<dyn CostModel + Send + Sync> = counted.clone();
     let replicas: Vec<ReplicaConfig> = (0..8)
@@ -197,8 +253,10 @@ struct CaseRow {
     requests: usize,
     /// Replicas simulated (summed over cells for the sharded case).
     replicas: usize,
+    /// Timed samples the row's wall time is the median of.
+    samples: usize,
     wall_s: f64,
-    decode_step_evals: u64,
+    pricing: Pricing,
     report: FleetReport,
 }
 
@@ -206,35 +264,97 @@ impl CaseRow {
     fn req_per_s(&self) -> f64 {
         self.requests as f64 / self.wall_s.max(1e-9)
     }
+
+    /// Share of wall time spent inside the cost model.
+    fn pricing_share(&self) -> f64 {
+        self.pricing.pricing_s / self.wall_s.max(1e-9)
+    }
 }
 
 /// Times one replay of `requests` over `replicas` replicas, counting the
-/// decode-step evaluations it makes through `evals`.
+/// pricing work it does through `evals`.
 fn run_case(
     name: &'static str,
     requests: &[ClusterRequest],
     replicas: usize,
     evals: &Counted,
-    f: impl FnOnce(&[ClusterRequest]) -> FleetReport,
+    f: impl Fn(&[ClusterRequest]) -> FleetReport,
 ) -> CaseRow {
-    evals.take();
-    let (wall_s, report) = time_one(|| f(requests));
+    sample_case(name, requests, replicas, evals, 0, 1, f)
+}
+
+/// [`run_case`] for a case the `--baseline` gate checks: one untimed
+/// warm-up replay, then the median-wall sample of three timed ones.
+fn gated_case(
+    name: &'static str,
+    requests: &[ClusterRequest],
+    replicas: usize,
+    evals: &Counted,
+    f: impl Fn(&[ClusterRequest]) -> FleetReport,
+) -> CaseRow {
+    sample_case(name, requests, replicas, evals, 1, 3, f)
+}
+
+/// `warmup` untimed replays, then the median-wall sample of `samples`
+/// timed ones. Every replay is a fresh,
+/// deterministic simulation, so all samples must agree on the pricing
+/// counts and the report.
+fn sample_case(
+    name: &'static str,
+    requests: &[ClusterRequest],
+    replicas: usize,
+    evals: &Counted,
+    warmup: usize,
+    samples: usize,
+    f: impl Fn(&[ClusterRequest]) -> FleetReport,
+) -> CaseRow {
+    for _ in 0..warmup {
+        f(requests);
+    }
+    let mut runs: Vec<(f64, Pricing, FleetReport)> = (0..samples)
+        .map(|_| {
+            evals.take();
+            let (wall_s, report) = time_one(|| f(requests));
+            (wall_s, evals.take(), report)
+        })
+        .collect();
+    for (_, pricing, report) in &runs[1..] {
+        let first = &runs[0];
+        assert_eq!(
+            (pricing.decode_step_evals, pricing.decode_step_runs),
+            (first.1.decode_step_evals, first.1.decode_step_runs),
+            "{name}: pricing work differs between samples"
+        );
+        assert_eq!(
+            report.render(),
+            first.2.render(),
+            "{name}: samples diverged"
+        );
+    }
+    runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let walls: Vec<String> = runs.iter().map(|r| format!("{:.3}", r.0)).collect();
+    let (wall_s, pricing, report) = runs.swap_remove(samples / 2);
     let row = CaseRow {
         name,
         requests: requests.len(),
         replicas,
+        samples,
         wall_s,
-        decode_step_evals: evals.take(),
+        pricing,
         report,
     };
     eprintln!(
-        "{:>15}: n={:>7} replicas={:>2} wall={:>9.3}s ({:>9.0} req/s) decode_step_evals={} completed={} rejected={}",
+        "{:>15}: n={:>7} replicas={:>2} wall={:>9.3}s ({:>9.0} req/s; samples {}) decode_step_evals={} runs={} pricing={:.3}s ({:.0}% of wall) completed={} rejected={}",
         row.name,
         row.requests,
         row.replicas,
         row.wall_s,
         row.req_per_s(),
-        row.decode_step_evals,
+        walls.join(" "),
+        row.pricing.decode_step_evals,
+        row.pricing.decode_step_runs,
+        row.pricing.pricing_s,
+        100.0 * row.pricing_share(),
         row.report.completed(),
         row.report.rejected(),
     );
@@ -289,7 +409,9 @@ fn main() {
 
     let (config, evals) = fleet();
     let replicas = config.replicas.len();
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+    // Logical CPUs of the host, recorded beside the timings (0 = unknown).
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let threads = if cores == 0 { 4 } else { cores };
 
     // Quick mode (CI) trims the legacy run to 1e4 — the seed engine is
     // superlinear in trace length, so the quick speedup *understates* the
@@ -313,7 +435,7 @@ fn main() {
         "fast engine diverged from the seed engine on the bench trace"
     );
 
-    let fast_row = run_case("fast_1e5", &fast_trace, replicas, &evals, |reqs| {
+    let fast_row = gated_case("fast_1e5", &fast_trace, replicas, &evals, |reqs| {
         simulate_fleet(&config, &mut *router(), reqs)
     });
 
@@ -334,7 +456,7 @@ fn main() {
     let (paged_config, paged_evals) = fleet();
     let paged_config = paged_config.with_kv(KvConfig::new());
     let paged_trace = session_trace(20_000);
-    let paged_row = run_case("paged_1e5", &paged_trace, replicas, &paged_evals, |reqs| {
+    let paged_row = gated_case("paged_1e5", &paged_trace, replicas, &paged_evals, |reqs| {
         simulate_fleet(&paged_config, &mut *router(), reqs)
     });
 
@@ -342,7 +464,7 @@ fn main() {
     // routing prediction walks the sharded graph and adds the all-reduce
     // tax, so this bounds the memoized-pricing overhead of `core::tp`.
     let (tp_config, tp_evals) = tp_fleet();
-    let tp_row = run_case("tp_1e5", &fast_trace, replicas, &tp_evals, |reqs| {
+    let tp_row = gated_case("tp_1e5", &fast_trace, replicas, &tp_evals, |reqs| {
         simulate_fleet(&tp_config, &mut *router(), reqs)
     });
 
@@ -386,17 +508,22 @@ fn main() {
         "  \"fleet\": {{ \"replicas\": 8, \"backend\": \"spr\", \"model\": \"opt_13b\", \"rate_per_s\": {RATE_PER_S} }},"
     ));
     w(&format!("  \"threads\": {threads},"));
+    w(&format!("  \"cores\": {cores},"));
     w("  \"cases\": [");
     for (i, row) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         w(&format!(
-            "    {{ \"name\": \"{}\", \"requests\": {}, \"replicas\": {}, \"wall_s\": {:.4}, \"req_per_s\": {:.1}, \"decode_step_evals\": {}, \"events\": {}, \"completed\": {}, \"rejected\": {} }}{}",
+            "    {{ \"name\": \"{}\", \"requests\": {}, \"replicas\": {}, \"samples\": {}, \"wall_s\": {:.4}, \"req_per_s\": {:.1}, \"decode_step_evals\": {}, \"decode_step_runs\": {}, \"pricing_s\": {:.4}, \"pricing_share\": {:.3}, \"events\": {}, \"completed\": {}, \"rejected\": {} }}{}",
             row.name,
             row.requests,
             row.replicas,
+            row.samples,
             row.wall_s,
             row.req_per_s(),
-            row.decode_step_evals,
+            row.pricing.decode_step_evals,
+            row.pricing.decode_step_runs,
+            row.pricing.pricing_s,
+            row.pricing_share(),
             row.report.events_processed,
             row.report.completed(),
             row.report.rejected(),
@@ -431,14 +558,15 @@ fn main() {
             let case = row.name;
             // Exact floor first: the pricing work of a fixed trace is
             // deterministic, so any rise is a real regression.
-            let now = row.decode_step_evals;
+            let now = row.pricing.decode_step_evals;
             let base = field(case, "decode_step_evals");
             eprintln!("pricing floor: {case} {now} decode-step evals vs baseline {base:.0}");
             if now as f64 > base {
                 eprintln!("FAIL: {case} made more decode-step evaluations than {path}");
                 failed = true;
             }
-            // Wall-clock backstop, loose enough to ride out host noise.
+            // Wall-clock backstop on the median sample, loose enough to
+            // ride out host noise.
             let now = row.req_per_s();
             let base = field(case, "req_per_s");
             let floor = base * 0.7;

@@ -334,14 +334,18 @@ fn fold_service_s(
 /// Under the request-level memo sits a per-step decode price table: one
 /// dense row per (group, model index, batch), indexed by `kv_len`, grown
 /// on demand and filled lazily with NaN meaning "not priced yet". A
-/// `service` miss takes its prefill from the prefill memo and folds the
-/// row's entries through [`fold_service_s`], calling the cost model only
-/// for empty slots. Requests of different shapes overlap heavily in the
-/// steps they walk, so each distinct (group, model, batch, `kv_len`) step
-/// is priced exactly once per simulation instead of once per request
-/// shape that crosses it. The result is bit-exact: a step price is a pure
-/// function of its key, and the fold order is unchanged. (A backend that
-/// priced a step as NaN would merely be re-asked each time.)
+/// `service` miss takes its prefill from the prefill memo, fills each
+/// maximal run of empty slots among its steps with one
+/// [`CostModel::decode_step_times`] call (so a backend can price the
+/// parts of a step that do not change with `kv_len` once per run), then
+/// folds the row's entries through [`fold_service_s`]. Requests of
+/// different shapes overlap heavily in the steps they walk, so each
+/// distinct (group, model, batch, `kv_len`) step is priced exactly once
+/// per simulation instead of once per request shape that crosses it. The
+/// result is bit-exact: a step price is a pure function of its key, the
+/// row call returns the per-step method's bits, and the fold order is
+/// unchanged. (A backend that priced a step as NaN would merely be
+/// re-asked each time.)
 struct PredictCache {
     service: BTreeMap<(u32, u32, u64, u64, u64), f64>,
     prefill: BTreeMap<(u32, u32, u64, u64), f64>,
@@ -396,19 +400,25 @@ impl PredictCache {
             .steps
             .entry((group, model_ix as u32, batch))
             .or_default();
-        // One past the last step's `kv_len`; rows only grow when a step
+        // The steps' `kv_len`s are `first..end`; rows only grow when a step
         // actually lands beyond them, so prefill-only requests add nothing.
+        let first = (prompt_len + 1) as usize;
         let end = (prompt_len + gen_len) as usize;
-        let s = fold_service_s(prefill, prompt_len, gen_len, |kv_len| {
-            let k = kv_len as usize;
-            if k >= row.len() {
-                row.resize(end, f64::NAN);
-            }
+        if end > row.len() && first < end {
+            row.resize(end, f64::NAN);
+        }
+        // Price each maximal run of empty slots with one row call.
+        let mut k = first;
+        while k < end {
             if row[k].is_nan() {
-                row[k] = backend.decode_step_time(model, batch, kv_len).as_f64();
+                let run = row[k..end].iter().take_while(|p| p.is_nan()).count();
+                backend.decode_step_times(model, batch, k as u64, &mut row[k..k + run]);
+                k += run;
+            } else {
+                k += 1;
             }
-            row[k]
-        });
+        }
+        let s = fold_service_s(prefill, prompt_len, gen_len, |kv_len| row[kv_len as usize]);
         self.service.insert(key, s);
         s
     }
@@ -2053,11 +2063,14 @@ mod tests {
     }
 
     /// Delegates to an SPR cost model and logs every decode step it is
-    /// asked to price, so tests can count pricing work. Shared as one
-    /// `Arc` across replicas, it forms one prediction group.
+    /// asked to price, and every row call, so tests can count pricing
+    /// work. Shared as one `Arc` across replicas, it forms one prediction
+    /// group.
     struct CountingCost {
         inner: CpuBackend,
         steps: std::sync::Mutex<Vec<(String, u64, u64)>>,
+        /// `decode_step_times` calls as (model, batch, first kv_len, len).
+        rows: std::sync::Mutex<Vec<(String, u64, u64, usize)>>,
     }
 
     impl CountingCost {
@@ -2065,12 +2078,26 @@ mod tests {
             CountingCost {
                 inner: CpuBackend::paper_spr(),
                 steps: std::sync::Mutex::new(Vec::new()),
+                rows: std::sync::Mutex::new(Vec::new()),
             }
         }
 
         /// Every (model, batch, kv_len) priced so far, in call order.
         fn priced(&self) -> Vec<(String, u64, u64)> {
             self.steps.lock().expect("no panics while held").clone()
+        }
+
+        /// Every row call so far, in call order.
+        fn row_calls(&self) -> Vec<(String, u64, u64, usize)> {
+            self.rows.lock().expect("no panics while held").clone()
+        }
+
+        fn log_step(&self, model: &ModelConfig, batch: u64, kv_len: u64) {
+            self.steps.lock().expect("no panics while held").push((
+                model.name.clone(),
+                batch,
+                kv_len,
+            ));
         }
     }
 
@@ -2094,12 +2121,28 @@ mod tests {
         }
 
         fn decode_step_time(&self, model: &ModelConfig, batch: u64, kv_len: u64) -> Seconds {
-            self.steps.lock().expect("no panics while held").push((
+            self.log_step(model, batch, kv_len);
+            self.inner.decode_step_time(model, batch, kv_len)
+        }
+
+        fn decode_step_times(
+            &self,
+            model: &ModelConfig,
+            batch: u64,
+            first_kv_len: u64,
+            out: &mut [f64],
+        ) {
+            self.rows.lock().expect("no panics while held").push((
                 model.name.clone(),
                 batch,
-                kv_len,
+                first_kv_len,
+                out.len(),
             ));
-            self.inner.decode_step_time(model, batch, kv_len)
+            for kv_len in first_kv_len..first_kv_len + out.len() as u64 {
+                self.log_step(model, batch, kv_len);
+            }
+            self.inner
+                .decode_step_times(model, batch, first_kv_len, out);
         }
 
         fn weight_bytes(&self, model: &ModelConfig) -> Bytes {
@@ -2191,6 +2234,97 @@ mod tests {
                 assert_eq!(distinct, expected);
             }
         }
+    }
+
+    #[test]
+    fn service_miss_fills_each_empty_run_with_one_row_call() {
+        // Step ranges that nest, overlap, abut and leave holes, so later
+        // misses find their steps split into several empty runs, plus the
+        // prefill-only edges and a repeat (a service hit).
+        let shapes: [(u64, u64); 10] = [
+            (100, 10),
+            (120, 5),
+            (130, 3),
+            (90, 60),
+            (50, 3),
+            (300, 2),
+            (40, 280),
+            (100, 10),
+            (64, 0),
+            (64, 1),
+        ];
+        let models = [families::opt_1_3b(), families::opt_13b()];
+        let shared = Arc::new(CountingCost::new());
+        let alone = Arc::new(CountingCost::new());
+        let dyn_shared: Arc<dyn CostModel + Send + Sync> = shared.clone();
+        let dyn_alone: Arc<dyn CostModel + Send + Sync> = alone.clone();
+        // Replicas 0 and 1 share a group; replica 2 is a group of its own.
+        let replicas = vec![
+            ReplicaConfig::warm(dyn_shared.clone()),
+            ReplicaConfig::warm(dyn_shared),
+            ReplicaConfig::warm(dyn_alone),
+        ];
+        let counters = [&shared, &shared, &alone];
+        let mut cache = PredictCache::new(&replicas);
+        // Slots written so far, per group: (model, batch, kv_len).
+        let mut written = [
+            std::collections::BTreeSet::new(),
+            std::collections::BTreeSet::new(),
+        ];
+        for (idx, r) in replicas.iter().enumerate() {
+            let group = usize::from(idx == 2);
+            let counting = counters[idx];
+            for (m, model) in models.iter().enumerate() {
+                for batch in [1, 4] {
+                    for &(prompt, gen) in &shapes {
+                        let before = counting.row_calls().len();
+                        let memo =
+                            cache.service(idx, r.backend.as_ref(), m, model, batch, prompt, gen);
+                        let oracle = predict_service_s(&counting.inner, model, batch, prompt, gen);
+                        assert_eq!(
+                            memo.to_bits(),
+                            oracle.to_bits(),
+                            "replica {idx} {} b={batch} p={prompt} g={gen}",
+                            model.name
+                        );
+                        let calls = &counting.row_calls()[before..];
+                        let mut runs: Vec<(u64, u64)> = Vec::new();
+                        for (name, b, first, len) in calls {
+                            assert!(*len > 0, "an empty row call");
+                            assert_eq!((name, *b), (&model.name, batch));
+                            for kv in *first..first + *len as u64 {
+                                assert!(
+                                    prompt < kv && kv < prompt + gen,
+                                    "kv {kv} outside the steps of p={prompt} g={gen}"
+                                );
+                                assert!(
+                                    written[group].insert((m, batch, kv)),
+                                    "group {group} slot ({}, {batch}, {kv}) written twice",
+                                    model.name
+                                );
+                            }
+                            runs.push((*first, first + *len as u64));
+                        }
+                        runs.sort_unstable();
+                        for pair in runs.windows(2) {
+                            assert!(
+                                pair[0].1 < pair[1].0,
+                                "one miss split an empty run into calls {pair:?}"
+                            );
+                        }
+                        for kv in prompt + 1..prompt + gen {
+                            assert!(written[group].contains(&(m, batch, kv)));
+                        }
+                    }
+                }
+            }
+        }
+        // The shared group's second replica found every slot written.
+        assert_eq!(
+            shared.priced().len(),
+            written[0].len(),
+            "the shared group re-priced a step"
+        );
     }
 
     #[test]

@@ -47,6 +47,29 @@ pub trait CostModel: Backend {
     /// over `kv_len` context tokens.
     fn decode_step_time(&self, model: &ModelConfig, batch: u64, kv_len: u64) -> Seconds;
 
+    /// Prices a row of consecutive decode steps in one call: sets `out[i]`
+    /// to exactly the bits of
+    /// `decode_step_time(model, batch, first_kv_len + i).as_f64()`. An
+    /// empty `out` prices nothing.
+    ///
+    /// The default body loops over [`CostModel::decode_step_time`].
+    /// Backends override it to price the parts of a step that do not
+    /// change with `kv_len` once per row — [`crate::CpuBackend`] re-prices
+    /// only the attention operators while the decode bandwidth holds —
+    /// which is what the fleet engine's per-step price table calls on a
+    /// miss. An override must stay bit-identical to the per-step method.
+    fn decode_step_times(
+        &self,
+        model: &ModelConfig,
+        batch: u64,
+        first_kv_len: u64,
+        out: &mut [f64],
+    ) {
+        for (kv_len, slot) in (first_kv_len..).zip(out.iter_mut()) {
+            *slot = self.decode_step_time(model, batch, kv_len).as_f64();
+        }
+    }
+
     /// Bytes of weight state this backend keeps for `model`.
     fn weight_bytes(&self, model: &ModelConfig) -> Bytes;
 

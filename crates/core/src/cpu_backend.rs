@@ -7,7 +7,7 @@ use crate::error::SimError;
 use crate::exec::PhaseAccum;
 use crate::report::InferenceReport;
 use crate::request::Request;
-use crate::roofline::{op_time, Resources};
+use crate::roofline::{op_time, OpTime, Resources};
 use llmsim_hw::cpu::ComputeEngine;
 use llmsim_hw::topology::MemoryMode;
 use llmsim_hw::{Bytes, CpuSpec, GbPerSec, NumaConfig, Seconds};
@@ -225,42 +225,121 @@ impl CpuBackend {
     pub fn prefill_time(&self, model: &ModelConfig, batch: u64, prompt_len: u64) -> Seconds {
         let footprint = self.footprint(model, &Request::new(batch, prompt_len, 1));
         let eff_mem = self.mem.effective(self.cores, footprint);
-        let mut g = llmsim_model::prefill_graph(model, batch, prompt_len, self.dtype);
-        if self.tp_shard > 1 {
-            g = g.with_tensor_parallel(self.tp_shard);
-        }
-        if self.weight_dtype != self.dtype {
-            g = g.with_weight_dtype(self.weight_dtype);
-        }
+        let g = self.transform(llmsim_model::prefill_graph(
+            model, batch, prompt_len, self.dtype,
+        ));
         self.run_phase(&g, &eff_mem).time
     }
 
     /// Wall-clock cost of one decode step for `batch` sequences attending
-    /// over `kv_len` context tokens.
+    /// over `kv_len` context tokens: the one-slot case of
+    /// [`CpuBackend::decode_step_times`].
     ///
     /// # Panics
     ///
     /// Panics if the arguments are zero or the model is invalid.
     #[must_use]
     pub fn decode_step_time(&self, model: &ModelConfig, batch: u64, kv_len: u64) -> Seconds {
+        let mut out = [0.0];
+        self.decode_step_times(model, batch, kv_len, &mut out);
+        Seconds::new(out[0])
+    }
+
+    /// Prices the decode steps at `kv_len = first_kv_len + i` into
+    /// `out[i]`, bit-identical to pricing each step on its own.
+    ///
+    /// The transformed step graph is built once per row. A step's cost
+    /// depends on `kv_len` only through the attention operators (rebuilt
+    /// and re-priced per step via [`llmsim_model::decode_attention_graph`])
+    /// and through the footprint, which sets the decode bandwidth. Every
+    /// other operator's scaled total is a pure function of the operator
+    /// and that bandwidth, so it is kept while the bandwidth stays
+    /// bit-equal and re-priced when it moves (flat-mode HBM spill). Each
+    /// step is summed in graph order from zero, exactly as
+    /// [`CpuBackend::run_phase`] accumulates, then the attention overhead
+    /// is added.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` or `first_kv_len` is zero (with a non-empty
+    /// `out`) or the model is invalid.
+    pub fn decode_step_times(
+        &self,
+        model: &ModelConfig,
+        batch: u64,
+        first_kv_len: u64,
+        out: &mut [f64],
+    ) {
+        if out.is_empty() {
+            return;
+        }
+        let graph = self.transform(llmsim_model::decode_step_graph(
+            model,
+            batch,
+            first_kv_len,
+            self.dtype,
+        ));
+        let kv_ops: Vec<usize> = (0..graph.ops.len())
+            .filter(|&i| llmsim_model::depends_on_kv_len(&graph.ops[i]))
+            .collect();
+        let overhead = self
+            .attn_overhead_per_seq_layer
+            .scale((batch * model.n_layers) as f64);
+        let mut totals: Vec<Seconds> = Vec::with_capacity(graph.ops.len());
+        let mut priced_at: Option<u64> = None;
+        for (kv_len, slot) in (first_kv_len..).zip(out.iter_mut()) {
+            let bandwidth = self.decode_bandwidth(model, batch, kv_len);
+            if priced_at != Some(bandwidth.as_f64().to_bits()) {
+                totals.clear();
+                totals.extend(graph.ops.iter().map(|op| self.op_total(op, bandwidth)));
+                priced_at = Some(bandwidth.as_f64().to_bits());
+            }
+            if kv_len != first_kv_len {
+                let attn = self.transform(llmsim_model::decode_attention_graph(
+                    model, batch, kv_len, self.dtype,
+                ));
+                for (&i, op) in kv_ops.iter().zip(&attn.ops) {
+                    totals[i] = self.op_total(op, bandwidth);
+                }
+            }
+            let mut step = Seconds::ZERO;
+            for &t in &totals {
+                step += t;
+            }
+            *slot = (step + overhead).as_f64();
+        }
+    }
+
+    /// Sustained bandwidth a decode step streams at while `batch`
+    /// sequences hold `kv_len` tokens of cache: the footprint (weights plus
+    /// KV, per rank under tensor parallelism) fixes the NUMA/HBM mix, and
+    /// the decode streaming derate is weighted by its HBM share.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the footprint exceeds the machine's memory.
+    #[must_use]
+    pub fn decode_bandwidth(&self, model: &ModelConfig, batch: u64, kv_len: u64) -> GbPerSec {
         let whole =
             model.weight_bytes(self.weight_dtype) + model.kv_cache_bytes(kv_len, batch, self.dtype);
         let footprint = Bytes::new(whole.get() / self.tp_shard);
-        let eff_mem = self.mem.effective(self.cores, footprint);
-        let mut g = llmsim_model::decode_step_graph(model, batch, kv_len, self.dtype);
+        self.phase_bandwidth(Phase::Decode, &self.mem.effective(self.cores, footprint))
+    }
+
+    /// Applies this backend's graph rewrites to a freshly built phase
+    /// graph: the tensor-parallel shard, weight-only quantization and, on
+    /// decode graphs, KV-cache compression.
+    fn transform(&self, mut g: OpGraph) -> OpGraph {
         if self.tp_shard > 1 {
             g = g.with_tensor_parallel(self.tp_shard);
         }
         if self.weight_dtype != self.dtype {
             g = g.with_weight_dtype(self.weight_dtype);
         }
-        if self.kv_keep_ratio < 1.0 {
+        if g.phase == Phase::Decode && self.kv_keep_ratio < 1.0 {
             g = g.with_kv_keep_ratio(self.kv_keep_ratio);
         }
-        let overhead = self
-            .attn_overhead_per_seq_layer
-            .scale((batch * model.n_layers) as f64);
-        self.run_phase(&g, &eff_mem).time + overhead
+        g
     }
 
     /// Selects the matrix engine, its shape efficiency, and the dynamic
@@ -306,10 +385,9 @@ impl CpuBackend {
         }
     }
 
-    /// Executes one phase graph and accumulates totals.
-    fn run_phase(&self, graph: &OpGraph, eff_mem: &EffectiveMemory) -> PhaseAccum {
-        let cpu = self.cpu();
-        let bw_derate = match graph.phase {
+    /// Derated DRAM bandwidth a `phase` graph streams at over `eff_mem`.
+    fn phase_bandwidth(&self, phase: Phase, eff_mem: &EffectiveMemory) -> GbPerSec {
+        let bw_derate = match phase {
             Phase::Prefill => calib::CPU_PREFILL_BW_DERATE,
             // Traffic-weighted between the HBM and DDR streaming derates
             // (≈ the harmonic-exact value for the mixes that occur).
@@ -318,23 +396,45 @@ impl CpuBackend {
                     + (1.0 - eff_mem.hbm_traffic_fraction) * calib::CPU_DECODE_BW_DERATE_DDR
             }
         };
-        let bandwidth = eff_mem.bandwidth.scale(bw_derate);
+        eff_mem.bandwidth.scale(bw_derate)
+    }
+
+    /// Roofline timing of one execution of `op` streaming at `bandwidth`,
+    /// with the DRAM bytes and FLOPs per instruction behind it: the one
+    /// per-operator pricing that [`CpuBackend::run_phase`] and the decode
+    /// row both use.
+    fn price_op(&self, op: &Operator, bandwidth: GbPerSec) -> (OpTime, Bytes, f64) {
+        let cpu = self.cpu();
         let cache_capacity = cpu
             .caches
             .total_capacity(self.cores.min(cpu.topology.cores_per_socket));
+        let (rate, flops_per_instr) = self.compute_rate(op);
+        let streamed = Bytes::new(op.weight_bytes() + op.kv_read_bytes() + op.kv_write_bytes());
+        let reused = Bytes::new(op.act_bytes());
+        let dram = dram_traffic(streamed, reused, cache_capacity);
+        let resources = Resources {
+            compute: rate,
+            bandwidth,
+            overhead: Seconds::new(calib::CPU_OP_OVERHEAD_S),
+        };
+        (op_time(&resources, op.flops(), dram), dram, flops_per_instr)
+    }
 
+    /// `op`'s time over all its repeats — the term [`PhaseAccum::add`]
+    /// adds to a phase's time.
+    fn op_total(&self, op: &Operator, bandwidth: GbPerSec) -> Seconds {
+        self.price_op(op, bandwidth)
+            .0
+            .total()
+            .scale(op.repeat as f64)
+    }
+
+    /// Executes one phase graph and accumulates totals.
+    fn run_phase(&self, graph: &OpGraph, eff_mem: &EffectiveMemory) -> PhaseAccum {
+        let bandwidth = self.phase_bandwidth(graph.phase, eff_mem);
         let mut acc = PhaseAccum::default();
         for op in &graph.ops {
-            let (rate, flops_per_instr) = self.compute_rate(op);
-            let streamed = Bytes::new(op.weight_bytes() + op.kv_read_bytes() + op.kv_write_bytes());
-            let reused = Bytes::new(op.act_bytes());
-            let dram = dram_traffic(streamed, reused, cache_capacity);
-            let resources = Resources {
-                compute: rate,
-                bandwidth,
-                overhead: Seconds::new(calib::CPU_OP_OVERHEAD_S),
-            };
-            let t = op_time(&resources, op.flops(), dram);
+            let (t, dram, flops_per_instr) = self.price_op(op, bandwidth);
             let r = op.repeat as f64;
             let instrs = instruction_count(op.flops(), flops_per_instr, op.total_bytes()) * r;
             let loads = (op.weight_bytes() + op.kv_read_bytes()) as f64 * r
@@ -383,14 +483,12 @@ impl Backend for CpuBackend {
         let eff_mem = self.mem.effective(self.cores, footprint);
 
         // --- prefill ---
-        let mut prefill_graph =
-            llmsim_model::prefill_graph(model, request.batch, request.prompt_len, self.dtype);
-        if self.tp_shard > 1 {
-            prefill_graph = prefill_graph.with_tensor_parallel(self.tp_shard);
-        }
-        if self.weight_dtype != self.dtype {
-            prefill_graph = prefill_graph.with_weight_dtype(self.weight_dtype);
-        }
+        let prefill_graph = self.transform(llmsim_model::prefill_graph(
+            model,
+            request.batch,
+            request.prompt_len,
+            self.dtype,
+        ));
         let prefill = self.run_phase(&prefill_graph, &eff_mem);
 
         // --- decode: one step per generated token after the first ---
@@ -400,16 +498,12 @@ impl Backend for CpuBackend {
             .scale((request.batch * model.n_layers) as f64);
         for step in 0..request.decode_steps() {
             let kv_len = request.prompt_len + 1 + step;
-            let mut g = llmsim_model::decode_step_graph(model, request.batch, kv_len, self.dtype);
-            if self.tp_shard > 1 {
-                g = g.with_tensor_parallel(self.tp_shard);
-            }
-            if self.weight_dtype != self.dtype {
-                g = g.with_weight_dtype(self.weight_dtype);
-            }
-            if self.kv_keep_ratio < 1.0 {
-                g = g.with_kv_keep_ratio(self.kv_keep_ratio);
-            }
+            let g = self.transform(llmsim_model::decode_step_graph(
+                model,
+                request.batch,
+                kv_len,
+                self.dtype,
+            ));
             let mut step_acc = self.run_phase(&g, &eff_mem);
             step_acc.time += step_overhead;
             step_acc.compute_busy += step_overhead;
@@ -483,6 +577,16 @@ impl CostModel for CpuBackend {
 
     fn decode_step_time(&self, model: &ModelConfig, batch: u64, kv_len: u64) -> Seconds {
         CpuBackend::decode_step_time(self, model, batch, kv_len)
+    }
+
+    fn decode_step_times(
+        &self,
+        model: &ModelConfig,
+        batch: u64,
+        first_kv_len: u64,
+        out: &mut [f64],
+    ) {
+        CpuBackend::decode_step_times(self, model, batch, first_kv_len, out);
     }
 
     fn weight_bytes(&self, model: &ModelConfig) -> Bytes {
@@ -734,6 +838,43 @@ mod tests {
         // 80 layers × 0.75 ms × batch.
         assert!((d1 - 0.06).abs() < 0.01, "{d1}");
         assert!((d16 - 0.96).abs() < 0.05, "{d16}");
+    }
+
+    #[test]
+    fn decode_step_is_a_walk_of_the_whole_step_graph() {
+        // The one-slot row must price exactly what walking the whole
+        // transformed step graph at its own footprint's bandwidth gives —
+        // the oracle the multi-slot row is then proptested against.
+        let tuned = CpuBackend::paper_spr()
+            .with_tensor_degree(2)
+            .unwrap()
+            .with_weight_dtype(DType::Int8)
+            .with_kv_keep_ratio(0.5)
+            .with_attention_overhead(Seconds::from_micros(5.0));
+        for b in [CpuBackend::paper_spr(), CpuBackend::paper_icl(), tuned] {
+            for m in [families::opt_13b(), families::llama2_70b()] {
+                for (batch, kv_len) in [(1, 1), (8, 700), (32, 4096)] {
+                    let whole =
+                        m.weight_bytes(b.weight_dtype) + m.kv_cache_bytes(kv_len, batch, b.dtype);
+                    let eff = b
+                        .mem
+                        .effective(b.cores, Bytes::new(whole.get() / b.tp_shard));
+                    let g =
+                        b.transform(llmsim_model::decode_step_graph(&m, batch, kv_len, b.dtype));
+                    let want = b.run_phase(&g, &eff).time
+                        + b.attn_overhead_per_seq_layer
+                            .scale((batch * m.n_layers) as f64);
+                    let got = b.decode_step_time(&m, batch, kv_len);
+                    assert_eq!(
+                        got.as_f64().to_bits(),
+                        want.as_f64().to_bits(),
+                        "{} {} b={batch} kv={kv_len}",
+                        b.name(),
+                        m.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

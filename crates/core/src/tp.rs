@@ -217,6 +217,25 @@ impl<B: CostModel> CostModel for TensorParallel<B> {
         t + self.allreduce_time(model, batch)
     }
 
+    fn decode_step_times(
+        &self,
+        model: &ModelConfig,
+        batch: u64,
+        first_kv_len: u64,
+        out: &mut [f64],
+    ) {
+        self.shard
+            .decode_step_times(model, batch, first_kv_len, out);
+        if self.degree <= 1 {
+            return;
+        }
+        // The all-reduce depends only on `batch`: price it once per row.
+        let ar = self.allreduce_time(model, batch);
+        for t in out.iter_mut() {
+            *t = (Seconds::new(*t) + ar).as_f64();
+        }
+    }
+
     fn weight_bytes(&self, model: &ModelConfig) -> Bytes {
         // The group as a whole still stores (and cold-loads) every weight.
         self.shard.weight_bytes(model)

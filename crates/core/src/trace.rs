@@ -434,7 +434,7 @@ impl<W: std::io::Write> SpanSink for StreamSink<W> {
         }
         let cells = span.cells();
         match self.format {
-            SpanFormat::Tsv => self.buf.push_str(&spanlog::tsv_line(&cells)),
+            SpanFormat::Tsv => spanlog::push_tsv_line(&mut self.buf, &cells),
             SpanFormat::Jsonl => self
                 .buf
                 .push_str(&spanlog::jsonl_line(&self.columns, &cells)),

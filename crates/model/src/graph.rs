@@ -243,13 +243,8 @@ impl OpGraph {
 /// Panics if `batch` or `prompt_len` is zero, or the model fails validation.
 #[must_use]
 pub fn prefill_graph(model: &ModelConfig, batch: u64, prompt_len: u64, dtype: DType) -> OpGraph {
-    assert!(
-        batch > 0 && prompt_len > 0,
-        "batch and prompt length must be positive"
-    );
-    model.validate().expect("invalid model config");
     let tokens = batch * prompt_len;
-    let mut b = GraphBuilder::new(model, dtype);
+    let mut b = GraphBuilder::new(model, dtype, batch, prompt_len);
     b.embedding(tokens);
     b.decoder_layers(
         batch, /* q_len = */ prompt_len, /* kv_len = */ prompt_len,
@@ -270,12 +265,7 @@ pub fn prefill_graph(model: &ModelConfig, batch: u64, prompt_len: u64, dtype: DT
 /// Panics if `batch` or `kv_len` is zero, or the model fails validation.
 #[must_use]
 pub fn decode_step_graph(model: &ModelConfig, batch: u64, kv_len: u64, dtype: DType) -> OpGraph {
-    assert!(
-        batch > 0 && kv_len > 0,
-        "batch and context length must be positive"
-    );
-    model.validate().expect("invalid model config");
-    let mut b = GraphBuilder::new(model, dtype);
+    let mut b = GraphBuilder::new(model, dtype, batch, kv_len);
     b.embedding(batch);
     b.decoder_layers(batch, /* q_len = */ 1, kv_len);
     b.lm_head(batch);
@@ -285,6 +275,44 @@ pub fn decode_step_graph(model: &ModelConfig, batch: u64, kv_len: u64, dtype: DT
     }
 }
 
+/// Builds the operators of one decode step whose cost depends on `kv_len`
+/// — attention score, softmax and context, in graph order — as a decode
+/// graph of their own. Every other operator of [`decode_step_graph`] is
+/// independent of `kv_len`, and [`decode_step_graph`] emits these three
+/// through the same builder, so a caller re-pricing a step at a new
+/// `kv_len` can rebuild just these, put them through the same graph
+/// transforms, and pair them in order with the step graph's operators
+/// for which [`depends_on_kv_len`] holds.
+///
+/// # Panics
+///
+/// Panics if `batch` or `kv_len` is zero, or the model fails validation.
+#[must_use]
+pub fn decode_attention_graph(
+    model: &ModelConfig,
+    batch: u64,
+    kv_len: u64,
+    dtype: DType,
+) -> OpGraph {
+    let mut b = GraphBuilder::new(model, dtype, batch, kv_len);
+    b.attention(batch, /* q_len = */ 1, kv_len);
+    OpGraph {
+        phase: Phase::Decode,
+        ops: b.ops,
+    }
+}
+
+/// Whether `op` is one of the attention operators
+/// [`decode_attention_graph`] builds: the only operators of a decode step
+/// whose cost depends on `kv_len`.
+#[must_use]
+pub fn depends_on_kv_len(op: &Operator) -> bool {
+    matches!(
+        op.kind,
+        OpKind::AttentionScore { .. } | OpKind::Softmax { .. } | OpKind::AttentionContext { .. }
+    )
+}
+
 struct GraphBuilder<'m> {
     model: &'m ModelConfig,
     dtype: DType,
@@ -292,7 +320,14 @@ struct GraphBuilder<'m> {
 }
 
 impl<'m> GraphBuilder<'m> {
-    fn new(model: &'m ModelConfig, dtype: DType) -> Self {
+    /// A builder for `batch` sequences of `len` tokens (prompt or context)
+    /// over a validated `model`.
+    fn new(model: &'m ModelConfig, dtype: DType, batch: u64, len: u64) -> Self {
+        assert!(
+            batch > 0 && len > 0,
+            "batch and sequence length must be positive"
+        );
+        model.validate().expect("invalid model config");
         GraphBuilder {
             model,
             dtype,
@@ -334,7 +369,6 @@ impl<'m> GraphBuilder<'m> {
         let layers = m.n_layers;
         let d = m.d_model;
         let d_kv = m.d_kv();
-        let d_head = m.d_head();
         let tokens = batch * q_len;
         let bytes = self.dtype.bytes();
 
@@ -382,33 +416,7 @@ impl<'m> GraphBuilder<'m> {
             },
             layers,
         );
-        // During prefill, K/V for the current block are produced on-chip;
-        // attending still reads the full populated cache once per layer.
-        let kv_cache_read = batch * kv_len * d_kv * bytes;
-        self.push(
-            "attn.score",
-            OpKind::AttentionScore {
-                shape: Matmul::batched(q_len, kv_len, d_head, batch * m.n_heads),
-                kv_read_bytes: kv_cache_read,
-            },
-            layers,
-        );
-        self.push(
-            "attn.softmax",
-            OpKind::Softmax {
-                rows: batch * m.n_heads * q_len,
-                cols: kv_len,
-            },
-            layers,
-        );
-        self.push(
-            "attn.context",
-            OpKind::AttentionContext {
-                shape: Matmul::batched(q_len, d_head, kv_len, batch * m.n_heads),
-                kv_read_bytes: kv_cache_read,
-            },
-            layers,
-        );
+        self.attention(batch, q_len, kv_len);
         self.push(
             "attn.out_proj",
             OpKind::Linear {
@@ -503,6 +511,42 @@ impl<'m> GraphBuilder<'m> {
         );
     }
 
+    /// Emits the attention block over the KV cache — score, softmax,
+    /// context — repeated `n_layers` times: the only operators whose cost
+    /// depends on `kv_len`.
+    fn attention(&mut self, batch: u64, q_len: u64, kv_len: u64) {
+        let m = self.model;
+        let layers = m.n_layers;
+        let d_head = m.d_head();
+        // During prefill, K/V for the current block are produced on-chip;
+        // attending still reads the full populated cache once per layer.
+        let kv_cache_read = batch * kv_len * m.d_kv() * self.dtype.bytes();
+        self.push(
+            "attn.score",
+            OpKind::AttentionScore {
+                shape: Matmul::batched(q_len, kv_len, d_head, batch * m.n_heads),
+                kv_read_bytes: kv_cache_read,
+            },
+            layers,
+        );
+        self.push(
+            "attn.softmax",
+            OpKind::Softmax {
+                rows: batch * m.n_heads * q_len,
+                cols: kv_len,
+            },
+            layers,
+        );
+        self.push(
+            "attn.context",
+            OpKind::AttentionContext {
+                shape: Matmul::batched(q_len, d_head, kv_len, batch * m.n_heads),
+                kv_read_bytes: kv_cache_read,
+            },
+            layers,
+        );
+    }
+
     fn lm_head(&mut self, rows: u64) {
         let m = self.model;
         self.push(
@@ -580,6 +624,22 @@ mod tests {
             .totals()
             .kv_read_bytes;
         assert_eq!(batched, 16 * short);
+    }
+
+    #[test]
+    fn attention_graph_is_the_kv_dependent_part_of_a_step() {
+        for m in [families::opt_13b(), families::llama2_70b()] {
+            let step = decode_step_graph(&m, 3, 300, DType::Bf16);
+            let attn = decode_attention_graph(&m, 3, 300, DType::Bf16);
+            let kv_ops: Vec<&Operator> = step.ops.iter().filter(|o| depends_on_kv_len(o)).collect();
+            assert_eq!(kv_ops, attn.ops.iter().collect::<Vec<_>>(), "{}", m.name);
+            assert_eq!(attn.phase, Phase::Decode);
+            // Exactly those operators change with `kv_len`.
+            let next = decode_step_graph(&m, 3, 301, DType::Bf16);
+            for (a, b) in step.ops.iter().zip(&next.ops) {
+                assert_eq!(a != b, depends_on_kv_len(a), "{}: {}", m.name, a.name);
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,9 @@ pub mod phases;
 
 pub use config::{Family, FfnKind, ModelConfig};
 pub use dtype::DType;
-pub use graph::{decode_step_graph, prefill_graph, GraphTotals, OpGraph};
+pub use graph::{
+    decode_attention_graph, decode_step_graph, depends_on_kv_len, prefill_graph, GraphTotals,
+    OpGraph,
+};
 pub use ops::{Matmul, OpClass, OpKind, Operator};
 pub use phases::Phase;

@@ -28,10 +28,30 @@ impl Cell {
     /// replaced by spaces; floats use shortest-roundtrip `Display`).
     #[must_use]
     pub fn to_tsv_field(&self) -> String {
+        let mut out = String::new();
+        self.push_tsv_field(&mut out);
+        out
+    }
+
+    /// Appends this cell's TSV field to `out` without an intermediate
+    /// `String` (same bytes as [`Cell::to_tsv_field`]).
+    fn push_tsv_field(&self, out: &mut String) {
         match self {
-            Cell::Str(s) => s.replace(['\t', '\n', '\r'], " "),
-            Cell::Int(i) => i.to_string(),
-            Cell::Num(x) => x.to_string(),
+            Cell::Str(s) => {
+                for (i, part) in s.split(['\t', '\n', '\r']).enumerate() {
+                    if i > 0 {
+                        out.push(' ');
+                    }
+                    out.push_str(part);
+                }
+            }
+            // Writing to a `String` cannot fail.
+            Cell::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Cell::Num(x) => {
+                let _ = write!(out, "{x}");
+            }
         }
     }
 
@@ -49,14 +69,26 @@ impl Cell {
 }
 
 /// Renders one TSV data line (no trailing newline) from a row of cells.
+#[must_use]
+pub fn tsv_line(cells: &[Cell]) -> String {
+    let mut out = String::new();
+    push_tsv_line(&mut out, cells);
+    out
+}
+
+/// Appends one TSV data line (no trailing newline) to `out`, writing each
+/// field in place rather than through a `String` per field.
 ///
 /// [`TabularLog::to_tsv`] and the streaming span sink in `llmsim-core`
 /// both go through this function, which is what makes a streamed file
 /// byte-identical to a buffered render of the same rows.
-#[must_use]
-pub fn tsv_line(cells: &[Cell]) -> String {
-    let fields: Vec<String> = cells.iter().map(Cell::to_tsv_field).collect();
-    fields.join("\t")
+pub fn push_tsv_line(out: &mut String, cells: &[Cell]) {
+    for (i, cell) in cells.iter().enumerate() {
+        if i > 0 {
+            out.push('\t');
+        }
+        cell.push_tsv_field(out);
+    }
 }
 
 /// Renders one JSONL object line (no trailing newline) from column names
@@ -167,7 +199,7 @@ impl TabularLog {
         let mut out = self.columns.join("\t");
         out.push('\n');
         for row in &self.rows {
-            out.push_str(&tsv_line(row));
+            push_tsv_line(&mut out, row);
             out.push('\n');
         }
         out
