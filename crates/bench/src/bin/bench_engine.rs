@@ -81,20 +81,15 @@ fn time_one<T>(f: impl FnOnce() -> T) -> (f64, T) {
 /// priced them, and the host time spent inside it, and otherwise
 /// delegates. Atomic, because the sharded case prices on several threads;
 /// the counts are still exact, since each cell's pricing work is fixed.
-#[derive(Default)]
-struct PricingCounters {
+struct Counted {
+    inner: Box<dyn CostModel + Send + Sync>,
     decode_steps: AtomicU64,
     decode_runs: AtomicU64,
     nanos: AtomicU64,
 }
 
-struct Counted {
-    inner: Box<dyn CostModel + Send + Sync>,
-    counters: PricingCounters,
-}
-
 /// Pricing work of one replay.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 struct Pricing {
     decode_step_evals: u64,
     decode_step_runs: u64,
@@ -104,11 +99,10 @@ struct Pricing {
 impl Counted {
     /// Work counted since the last `take`, resetting the counters.
     fn take(&self) -> Pricing {
-        let c = &self.counters;
         Pricing {
-            decode_step_evals: c.decode_steps.swap(0, Ordering::Relaxed),
-            decode_step_runs: c.decode_runs.swap(0, Ordering::Relaxed),
-            pricing_s: c.nanos.swap(0, Ordering::Relaxed) as f64 * 1e-9,
+            decode_step_evals: self.decode_steps.swap(0, Ordering::Relaxed),
+            decode_step_runs: self.decode_runs.swap(0, Ordering::Relaxed),
+            pricing_s: self.nanos.swap(0, Ordering::Relaxed) as f64 * 1e-9,
         }
     }
 
@@ -117,11 +111,10 @@ impl Counted {
         let t0 = Instant::now();
         let out = f();
         let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let c = &self.counters;
-        c.nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.nanos.fetch_add(nanos, Ordering::Relaxed);
         if steps > 0 {
-            c.decode_steps.fetch_add(steps, Ordering::Relaxed);
-            c.decode_runs.fetch_add(1, Ordering::Relaxed);
+            self.decode_steps.fetch_add(steps, Ordering::Relaxed);
+            self.decode_runs.fetch_add(1, Ordering::Relaxed);
         }
         out
     }
@@ -185,7 +178,9 @@ impl CostModel for Counted {
 fn counted_fleet(backend: impl CostModel + Send + Sync + 'static) -> (ClusterConfig, Arc<Counted>) {
     let counted = Arc::new(Counted {
         inner: Box::new(backend),
-        counters: PricingCounters::default(),
+        decode_steps: AtomicU64::new(0),
+        decode_runs: AtomicU64::new(0),
+        nanos: AtomicU64::new(0),
     });
     let shared: Arc<dyn CostModel + Send + Sync> = counted.clone();
     let replicas: Vec<ReplicaConfig> = (0..8)
@@ -296,9 +291,8 @@ fn gated_case(
 }
 
 /// `warmup` untimed replays, then the median-wall sample of `samples`
-/// timed ones. Every replay is a fresh,
-/// deterministic simulation, so all samples must agree on the pricing
-/// counts and the report.
+/// timed ones. Every replay is a fresh, deterministic simulation, so all
+/// samples must agree on the pricing counts and the report.
 fn sample_case(
     name: &'static str,
     requests: &[ClusterRequest],
