@@ -1,16 +1,53 @@
-//! Parallel sweep execution across worker threads.
+//! Ordered parallel execution across worker threads.
 
 use llmsim_core::{Backend, InferenceReport, Request, SimError};
 use llmsim_workload::SweepPoint;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Runs every sweep point against `backend` across `workers` threads,
-/// preserving input order in the output.
+/// Maps `f` over `items` on up to `workers` threads, returning the results
+/// in input order.
 ///
-/// Workers claim points through an atomic cursor and publish each result
+/// Workers claim items through an atomic cursor and publish each result
 /// into its own pre-allocated [`OnceLock`] slot, so there is no shared lock
 /// on the result vector: slots are disjoint by construction and each is
-/// written exactly once by whichever worker claimed that index.
+/// written exactly once by whichever worker claimed that index. The output
+/// is therefore independent of `workers` and of completion order.
+///
+/// # Panics
+///
+/// Panics if `workers` is zero or `f` panics.
+pub fn par_map<T: Sync, R: Send + Sync>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    assert!(workers > 0, "need at least one worker");
+    let slots: Vec<OnceLock<R>> = (0..items.len()).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+
+    std::thread::scope(|s| {
+        for _ in 0..workers.min(items.len()) {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= items.len() {
+                    break;
+                }
+                slots[i]
+                    .set(f(&items[i]))
+                    .unwrap_or_else(|_| panic!("slot {i} claimed twice"));
+            });
+        }
+    });
+
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every item was visited"))
+        .collect()
+}
+
+/// Runs every sweep point against `backend` across `workers` threads,
+/// preserving input order in the output (see [`par_map`]).
 ///
 /// # Errors
 ///
@@ -24,33 +61,12 @@ pub fn run_sweep<B: Backend + Sync>(
     points: &[SweepPoint],
     workers: usize,
 ) -> Result<Vec<InferenceReport>, SimError> {
-    assert!(workers > 0, "need at least one worker");
-    let slots: Vec<OnceLock<Result<InferenceReport, SimError>>> =
-        (0..points.len()).map(|_| OnceLock::new()).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(points.len().max(1)) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= points.len() {
-                    break;
-                }
-                let p = &points[i];
-                let model = llmsim_workload::sweep::resolve_model(p);
-                let out = Request::try_new(p.batch, p.prompt_len, p.gen_len)
-                    .and_then(|req| backend.run(&model, &req));
-                slots[i]
-                    .set(out)
-                    .unwrap_or_else(|_| panic!("slot {i} claimed twice"));
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every point was visited"))
-        .collect()
+    par_map(points, workers, |p| {
+        let model = llmsim_workload::sweep::resolve_model(p);
+        Request::try_new(p.batch, p.prompt_len, p.gen_len).and_then(|req| backend.run(&model, &req))
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]

@@ -195,6 +195,50 @@ proptest! {
         );
     }
 
+    /// A one-shard replay is the serial engine: `shard_fleet(.., 1)` keeps
+    /// every request id, so the merged report, outcomes, per-replica
+    /// stats, event counters and span TSV all match `simulate_fleet_traced`
+    /// byte for byte — across start states and chaos with and without
+    /// hedging.
+    #[test]
+    fn one_shard_replay_is_the_serial_engine(
+        reqs in arb_trace(),
+        n in 2usize..5,
+        cap in 2usize..12,
+        batch in 1u64..5,
+        router_ix in 0usize..4,
+        start_ix in 0usize..3,
+        seed in any::<u64>(),
+        mtbf_s in 3.0f64..30.0,
+        max_retries in 0u32..4,
+        hedge in any::<bool>(),
+        chaos_on in any::<bool>(),
+    ) {
+        let mut config = fleet(n, cap, batch, starts()[start_ix]);
+        if chaos_on {
+            config = config.with_chaos(chaos(seed, mtbf_s, max_retries, hedge));
+        }
+        let mut serial_spans = VecSink::new();
+        let serial =
+            simulate_fleet_traced(&config, &mut *router(router_ix), &reqs, &mut serial_spans);
+        let make: &(dyn Fn(usize) -> Box<dyn RouterPolicy> + Sync) = &|_| router(router_ix);
+        let mut shard_spans = vec![VecSink::new()];
+        let sharded =
+            simulate_shards_traced(&shard_fleet(&config, &reqs, 1), make, 1, &mut shard_spans);
+        prop_assert_eq!(serial.render(), sharded.render());
+        prop_assert_eq!(
+            format!("{:?}", serial.outcomes),
+            format!("{:?}", sharded.outcomes)
+        );
+        prop_assert_eq!(
+            format!("{:?}", serial.replicas),
+            format!("{:?}", sharded.replicas)
+        );
+        prop_assert_eq!(serial.events_processed, sharded.events_processed);
+        prop_assert_eq!(serial.peak_in_flight, sharded.peak_in_flight);
+        prop_assert_eq!(serial_spans.to_tsv(), shard_spans[0].to_tsv());
+    }
+
     /// Parallel shard replay is invariant to the worker thread count —
     /// 1, 2, and 4 threads produce byte-identical merged reports and
     /// span logs — and matches the hand-rolled serial fold over
