@@ -227,6 +227,16 @@ impl<'a> Engine<'a> {
         });
     }
 
+    /// Records a job that delivered its whole generation at `at_s`.
+    fn complete(&mut self, job: &Job, at_s: f64) {
+        let state = if job.preemptions > 0 {
+            TerminalState::PreemptedThenCompleted
+        } else {
+            TerminalState::Completed
+        };
+        self.finish(job, state, at_s);
+    }
+
     /// The instant a still-queued job becomes hopeless: its earliest
     /// applicable deadline (TTFT counts — a queued job has produced
     /// nothing).
@@ -406,6 +416,36 @@ impl<'a> Engine<'a> {
         true
     }
 
+    /// Moves a job whose (re)prefill just finished into the running batch.
+    /// A fresh prefill emits the first token; a preempted job only
+    /// recomputes its KV and emits nothing. The join SLO gate may cancel
+    /// the job, and a job whose first token was its last retires here, at
+    /// prefill end, instead of riding a decode iteration it generates
+    /// nothing in.
+    fn join(&mut self, active: &mut Vec<ActiveJob>, mut job: Job, now: f64) {
+        if job.produced == 0 {
+            self.generated += 1;
+            job.produced = 1;
+            job.first_token_s = Some(now);
+        }
+        let a = ActiveJob {
+            context: job.prefill_len(),
+            remaining: job.gen_len - job.produced,
+            joined_s: now,
+            join_seq: self.join_seq,
+            job,
+        };
+        self.join_seq += 1;
+        if !self.passes_join_slo(&a, now) {
+            return;
+        }
+        if a.remaining == 0 {
+            self.complete(&a.job, now);
+        } else {
+            active.push(a);
+        }
+    }
+
     /// Post-iteration end-to-end SLO gate for decoding jobs. Returns
     /// `false` if the job was cancelled.
     fn passes_decode_slo(&mut self, a: &ActiveJob, now: f64) -> bool {
@@ -547,25 +587,8 @@ fn run_iteration_level(mut eng: Engine<'_>) -> ResilienceReport {
             }
             now = start + cost;
             if fault == FaultDraw::None {
-                for mut job in admitted {
-                    if job.produced == 0 {
-                        // Prefill emits the first token (baseline semantics);
-                        // a preempted job only recomputes and emits nothing.
-                        eng.generated += 1;
-                        job.produced = 1;
-                        job.first_token_s = Some(now);
-                    }
-                    let a = ActiveJob {
-                        context: job.prefill_len(),
-                        remaining: job.gen_len - job.produced,
-                        joined_s: now,
-                        join_seq: eng.join_seq,
-                        job,
-                    };
-                    eng.join_seq += 1;
-                    if eng.passes_join_slo(&a, now) {
-                        active.push(a);
-                    }
+                for job in admitted {
+                    eng.join(&mut active, job, now);
                 }
             } else {
                 // A fault during the prefill pass loses the whole pass
@@ -635,12 +658,7 @@ fn advance_decode(eng: &mut Engine<'_>, a: &mut ActiveJob, now: f64) -> bool {
         eng.generated += 1;
     }
     if a.remaining == 0 {
-        let state = if a.job.preemptions > 0 {
-            TerminalState::PreemptedThenCompleted
-        } else {
-            TerminalState::Completed
-        };
-        eng.finish(&a.job, state, now);
+        eng.complete(&a.job, now);
         return false;
     }
     eng.passes_decode_slo(a, now)
@@ -778,23 +796,7 @@ fn run_chunked(mut eng: Engine<'_>, chunk_tokens: u64) -> ResilienceReport {
             }
             if let Some(p) = prefilling {
                 if p.remaining_prompt == 0 {
-                    let mut job = p.job;
-                    if job.produced == 0 {
-                        eng.generated += 1;
-                        job.produced = 1;
-                        job.first_token_s = Some(now);
-                    }
-                    let a = ActiveJob {
-                        context: job.prefill_len(),
-                        remaining: job.gen_len - job.produced,
-                        joined_s: now,
-                        join_seq: eng.join_seq,
-                        job,
-                    };
-                    eng.join_seq += 1;
-                    if eng.passes_join_slo(&a, now) {
-                        active.push(a);
-                    }
+                    eng.join(&mut active, p.job, now);
                     prefilling = None;
                 }
             }

@@ -15,13 +15,15 @@ fn backend() -> CpuBackend {
     CpuBackend::paper_spr()
 }
 
+/// Heterogeneous requests; every fifth one wants a single token, which
+/// its prefill delivers without any decode step.
 fn requests(n: u64, gap: f64) -> Vec<ServingRequest> {
     (0..n)
         .map(|i| ServingRequest {
             id: i,
             arrival_s: i as f64 * gap,
             prompt_len: 64 + 64 * (i % 3),
-            gen_len: 8 + 24 * (i % 4),
+            gen_len: if i % 5 == 3 { 1 } else { 8 + 24 * (i % 4) },
         })
         .collect()
 }
@@ -35,7 +37,13 @@ fn arb_requests() -> impl Strategy<Value = Vec<ServingRequest>> {
                 id: i,
                 arrival_s: i as f64 * gap_ms as f64 / 1000.0,
                 prompt_len: p0 + 17 * (i % 5),
-                gen_len: g0 + 7 * (i % 3),
+                // Single-token requests in most draws, not only when
+                // `g0` happens to be 1.
+                gen_len: if (i + g0) % 4 == 0 {
+                    1
+                } else {
+                    g0 + 7 * (i % 3)
+                },
             })
             .collect()
     })
@@ -116,6 +124,46 @@ fn passthrough_matches_plain_simulator_exactly() {
         assert_eq!(resilient.faults_injected, 0, "{policy}");
         assert_eq!(resilient.retries, 0, "{policy}");
         assert_eq!(resilient.preemptions, 0, "{policy}");
+    }
+}
+
+#[test]
+fn lone_single_token_request_retires_at_prefill_end() {
+    // A request whose first token is its last is fully served by its
+    // prefill, with deadlines and a bounded queue active too: its e2e is
+    // exactly the prefill cost, not prefill plus a decode step.
+    let model = families::opt_1_3b();
+    let req = ServingRequest {
+        id: 0,
+        arrival_s: 0.0,
+        prompt_len: 48,
+        gen_len: 1,
+    };
+    let prefill = backend().prefill_time(&model, 1, req.prompt_len).as_f64();
+    for policy in policies() {
+        let cfg = ResilienceConfig {
+            serving: ServingConfig {
+                max_batch: 4,
+                policy,
+            },
+            faults: FaultModel::none(5),
+            slo: SloPolicy::interactive(5.0, 60.0),
+            admission: AdmissionPolicy::bounded(6),
+            retry: RetryPolicy::disabled(),
+            degradation: DegradationPolicy::PreemptAndRequeue,
+        };
+        let rep = simulate_resilient(&backend(), &model, &cfg, &[req]).expect("supported");
+        assert_eq!(rep.outcomes.len(), 1, "{policy}");
+        let o = &rep.outcomes[0];
+        assert_eq!(o.state, TerminalState::Completed, "{policy}");
+        assert_eq!(o.e2e_s.to_bits(), prefill.to_bits(), "{policy}");
+        assert_eq!(
+            o.ttft_s.map(f64::to_bits),
+            Some(prefill.to_bits()),
+            "{policy}"
+        );
+        assert_eq!(rep.makespan_s.to_bits(), prefill.to_bits(), "{policy}");
+        assert_eq!(rep.generated_tokens, 1, "{policy}");
     }
 }
 
