@@ -1,21 +1,23 @@
-//! The resilient serving engine: the iteration-level and chunked-prefill
-//! scheduler loops of [`crate::serving`], mirrored operation-for-operation
-//! and extended with fault injection, deadlines, admission control, retry,
-//! and preemption hooks.
+//! The single-server scheduler: the only iteration-level and
+//! chunked-prefill loops in the workspace, with fault injection, deadlines,
+//! admission control, retry, and preemption hooks.
 //!
-//! Exactness contract: under [`super::ResilienceConfig::passthrough`]
-//! every hook is inert, the engine performs the *same floating-point
-//! operations in the same order* as the plain simulator, and per-request
-//! latencies are bit-identical. The equivalence property tests in
-//! `crates/core/tests/resilience.rs` enforce this.
+//! [`crate::serving::simulate`] runs both policies through these loops
+//! under [`super::ResilienceConfig::passthrough`], where every hook is
+//! inert, and maps the report back to a plain one; only static batching
+//! keeps its own loop there. The serving golden test
+//! (`crates/core/tests/serving_golden.rs`) pins the exact output bits and
+//! span bytes of that path.
 
 use super::metrics::ResilienceReport;
 use super::{
     DegradationPolicy, FailureKind, FaultModel, ResilienceConfig, ResilientOutcome, SimRng,
     TerminalState, TimeoutPhase,
 };
+use crate::backend::CostModel;
 use crate::cpu_backend::CpuBackend;
 use crate::serving::{SchedulingPolicy, ServingRequest};
+use crate::trace::{NullSink, SpanOutcome, SpanRecord, SpanSink};
 use llmsim_model::ModelConfig;
 use std::collections::VecDeque;
 
@@ -33,6 +35,13 @@ struct Job {
     first_token_s: Option<f64>,
     retries: u32,
     preemptions: u32,
+    /// When the prefill that emitted the first token began (span
+    /// bookkeeping only, like the two fields below).
+    dispatch_s: f64,
+    /// Batch width that prefill joined.
+    batch_at_dispatch: u64,
+    /// Decode steps the current attempt has run.
+    decode_steps: u64,
 }
 
 impl Job {
@@ -46,6 +55,9 @@ impl Job {
             first_token_s: None,
             retries: 0,
             preemptions: 0,
+            dispatch_s: r.arrival_s,
+            batch_at_dispatch: 0,
+            decode_steps: 0,
         }
     }
 
@@ -62,7 +74,7 @@ struct ActiveJob {
     job: Job,
     context: u64,
     remaining: u64,
-    /// When the job joined the current batch (the baseline's
+    /// When the job joined the current batch (the chunked loop's
     /// joined-this-iteration guard; distinct from `first_token_s`, which a
     /// preempted job keeps from its first attempt).
     joined_s: f64,
@@ -150,11 +162,13 @@ impl Injector {
     }
 }
 
-/// Everything the scheduler loops share: terminal bookkeeping, admission,
-/// expiry, retry scheduling, and the memory model.
-struct Engine<'a> {
-    backend: &'a CpuBackend,
+/// Everything the scheduler loops share: pricing, terminal bookkeeping,
+/// span emission, admission, expiry, retry scheduling, and the memory
+/// model.
+struct Engine<'a, B: CostModel + ?Sized> {
+    backend: &'a B,
     model: &'a ModelConfig,
+    sink: &'a mut dyn SpanSink,
     cfg: ResilienceConfig,
     injector: Injector,
     pending: Vec<Pending>,
@@ -170,12 +184,14 @@ struct Engine<'a> {
     kv_bytes_per_token: u64,
 }
 
-impl<'a> Engine<'a> {
+impl<'a, B: CostModel + ?Sized> Engine<'a, B> {
     fn new(
-        backend: &'a CpuBackend,
+        backend: &'a B,
         model: &'a ModelConfig,
         cfg: ResilienceConfig,
         requests: &[ServingRequest],
+        kv_bytes_per_token: u64,
+        sink: &'a mut dyn SpanSink,
     ) -> Self {
         let mut pending = Vec::with_capacity(requests.len());
         // Arrival order with ascending seq; stored descending so the
@@ -187,10 +203,10 @@ impl<'a> Engine<'a> {
                 job: Job::new(r),
             });
         }
-        let kv_bytes_per_token = model.kv_bytes_per_token(backend.kv_dtype());
         Engine {
             backend,
             model,
+            sink,
             cfg,
             injector: Injector::new(cfg.faults),
             pending,
@@ -227,7 +243,9 @@ impl<'a> Engine<'a> {
         });
     }
 
-    /// Records a job that delivered its whole generation at `at_s`.
+    /// Records a job that delivered its whole generation at `at_s`, and
+    /// its span. `decode_s` is completion minus first token, so the three
+    /// phases always sum to the reported e2e latency.
     fn complete(&mut self, job: &Job, at_s: f64) {
         let state = if job.preemptions > 0 {
             TerminalState::PreemptedThenCompleted
@@ -235,6 +253,24 @@ impl<'a> Engine<'a> {
             TerminalState::Completed
         };
         self.finish(job, state, at_s);
+        if let (true, Some(first_token_s)) = (self.sink.enabled(), job.first_token_s) {
+            self.sink.record(SpanRecord {
+                id: job.id,
+                model: 0,
+                replica: None,
+                outcome: SpanOutcome::Completed,
+                arrival_s: job.arrival_s,
+                queue_delay_s: job.dispatch_s - job.arrival_s,
+                dispatch_s: job.dispatch_s,
+                prefill_end_s: first_token_s,
+                decode_s: at_s - first_token_s,
+                decode_steps: job.decode_steps,
+                completion_s: at_s,
+                batch_at_dispatch: job.batch_at_dispatch,
+                prefix_hit_tokens: 0,
+                preemptions: u64::from(job.preemptions),
+            });
+        }
     }
 
     /// The instant a still-queued job becomes hopeless: its earliest
@@ -318,6 +354,7 @@ impl<'a> Engine<'a> {
         // gone (the client re-issues the stream).
         job.produced = 0;
         job.first_token_s = None;
+        job.decode_steps = 0;
         let r = &self.cfg.retry;
         let mut backoff = r.base_backoff_s * r.multiplier.powi(job.retries as i32 - 1);
         backoff *= 1.0 + r.jitter_frac * self.injector.rng.next_f64();
@@ -417,16 +454,26 @@ impl<'a> Engine<'a> {
     }
 
     /// Moves a job whose (re)prefill just finished into the running batch.
-    /// A fresh prefill emits the first token; a preempted job only
-    /// recomputes its KV and emits nothing. The join SLO gate may cancel
-    /// the job, and a job whose first token was its last retires here, at
-    /// prefill end, instead of riding a decode iteration it generates
-    /// nothing in.
-    fn join(&mut self, active: &mut Vec<ActiveJob>, mut job: Job, now: f64) {
+    /// A fresh prefill emits the first token and records the prefill's
+    /// `dispatch_s` and `batch_at_dispatch` for the span; a preempted job
+    /// only recomputes its KV and emits nothing. The join SLO gate may
+    /// cancel the job, and a job whose first token was its last retires
+    /// here, at prefill end, instead of riding a decode iteration it
+    /// generates nothing in.
+    fn join(
+        &mut self,
+        active: &mut Vec<ActiveJob>,
+        mut job: Job,
+        now: f64,
+        dispatch_s: f64,
+        batch_at_dispatch: u64,
+    ) {
         if job.produced == 0 {
             self.generated += 1;
             job.produced = 1;
             job.first_token_s = Some(now);
+            job.dispatch_s = dispatch_s;
+            job.batch_at_dispatch = batch_at_dispatch;
         }
         let a = ActiveJob {
             context: job.prefill_len(),
@@ -482,8 +529,9 @@ impl<'a> Engine<'a> {
 /// Simulates serving `requests` (sorted by arrival) on `backend` under the
 /// full resilience configuration.
 ///
-/// With [`ResilienceConfig::passthrough`] the per-request latencies are
-/// identical to [`crate::serving::simulate`] for the same policy.
+/// With [`ResilienceConfig::passthrough`] the run is exactly
+/// [`crate::serving::simulate`]'s for the same policy: that simulator
+/// runs through the same loops.
 ///
 /// # Errors
 ///
@@ -502,40 +550,68 @@ pub fn simulate_resilient(
     cfg: &ResilienceConfig,
     requests: &[ServingRequest],
 ) -> Result<ResilienceReport, crate::SimError> {
-    assert!(!requests.is_empty(), "need at least one request");
-    assert!(cfg.serving.max_batch > 0, "max batch must be positive");
-    assert!(
-        requests
-            .windows(2)
-            .all(|w| w[0].arrival_s <= w[1].arrival_s),
-        "requests must be sorted by arrival"
-    );
-    assert!(
-        requests.iter().all(|r| r.prompt_len > 0 && r.gen_len > 0),
-        "request lengths must be positive"
-    );
+    crate::serving::check_inputs(&cfg.serving, requests);
     cfg.faults.validate();
-    match cfg.serving.policy {
-        SchedulingPolicy::Static => Err(crate::SimError::UnsupportedConfig(
+    let kv_bytes_per_token = model.kv_bytes_per_token(backend.kv_dtype());
+    run(
+        backend,
+        model,
+        cfg,
+        requests,
+        kv_bytes_per_token,
+        &mut NullSink,
+    )
+    .ok_or_else(|| {
+        crate::SimError::UnsupportedConfig(
             "resilient serving needs iteration-level scheduling (static batches have no \
              iteration boundaries to inject faults or preempt at)"
                 .to_owned(),
-        )),
-        SchedulingPolicy::IterationLevel => Ok(run_iteration_level(Engine::new(
-            backend, model, *cfg, requests,
+        )
+    })
+}
+
+/// Runs validated `requests` through the scheduler loop of
+/// `cfg.serving.policy`, recording each completed request's span to
+/// `sink`. `kv_bytes_per_token` prices the KV budget and is only read when
+/// `cfg.faults.kv_budget` is set. Returns `None` for
+/// [`SchedulingPolicy::Static`], which has no loop here.
+///
+/// # Panics
+///
+/// Panics if the chunked-prefill chunk size is zero.
+pub(crate) fn run<B: CostModel + ?Sized>(
+    backend: &B,
+    model: &ModelConfig,
+    cfg: &ResilienceConfig,
+    requests: &[ServingRequest],
+    kv_bytes_per_token: u64,
+    sink: &mut dyn SpanSink,
+) -> Option<ResilienceReport> {
+    match cfg.serving.policy {
+        SchedulingPolicy::Static => None,
+        SchedulingPolicy::IterationLevel => Some(run_iteration_level(Engine::new(
+            backend,
+            model,
+            *cfg,
+            requests,
+            kv_bytes_per_token,
+            sink,
         ))),
         SchedulingPolicy::ChunkedPrefill { chunk_tokens } => {
             assert!(chunk_tokens > 0, "chunk size must be positive");
-            Ok(run_chunked(
-                Engine::new(backend, model, *cfg, requests),
+            Some(run_chunked(
+                Engine::new(backend, model, *cfg, requests, kv_bytes_per_token, sink),
                 chunk_tokens,
             ))
         }
     }
 }
 
-/// The resilient mirror of `serving::simulate_iteration`.
-fn run_iteration_level(mut eng: Engine<'_>) -> ResilienceReport {
+/// Iteration-level scheduling (Orca-style): arrived requests join the
+/// running batch at token-step granularity, and a full prefill pass stalls
+/// the running decodes for its whole duration (the problem chunked
+/// prefill solves).
+fn run_iteration_level<B: CostModel + ?Sized>(mut eng: Engine<'_, B>) -> ResilienceReport {
     let max_batch = eng.cfg.serving.max_batch as usize;
     let mut active: Vec<ActiveJob> = Vec::new();
     let mut now = 0.0f64;
@@ -545,9 +621,8 @@ fn run_iteration_level(mut eng: Engine<'_>) -> ResilienceReport {
         eng.drain_arrivals(now);
         eng.expire_queued(now);
 
-        // Admission, mirroring the baseline: queued (arrived) jobs fill the
-        // batch; when the server is completely idle, exactly one future
-        // arrival is pulled forward.
+        // Admission: queued (arrived) jobs fill the batch; when the server
+        // is completely idle, exactly one future arrival is pulled forward.
         let mut admitted: Vec<Job> = Vec::new();
         let mut admitted_tokens = 0u64;
         while active.len() + admitted.len() < max_batch {
@@ -587,8 +662,9 @@ fn run_iteration_level(mut eng: Engine<'_>) -> ResilienceReport {
             }
             now = start + cost;
             if fault == FaultDraw::None {
+                let batch_at_dispatch = (active.len() + admitted.len()) as u64;
                 for job in admitted {
-                    eng.join(&mut active, job, now);
+                    eng.join(&mut active, job, now, start, batch_at_dispatch);
                 }
             } else {
                 // A fault during the prefill pass loses the whole pass
@@ -650,11 +726,16 @@ fn run_iteration_level(mut eng: Engine<'_>) -> ResilienceReport {
 
 /// One job's decode-step bookkeeping: token progress, completion, and the
 /// end-to-end deadline gate. Returns `true` if the job keeps running.
-fn advance_decode(eng: &mut Engine<'_>, a: &mut ActiveJob, now: f64) -> bool {
+fn advance_decode<B: CostModel + ?Sized>(
+    eng: &mut Engine<'_, B>,
+    a: &mut ActiveJob,
+    now: f64,
+) -> bool {
     if a.remaining > 0 {
         a.remaining -= 1;
         a.context += 1;
         a.job.produced += 1;
+        a.job.decode_steps += 1;
         eng.generated += 1;
     }
     if a.remaining == 0 {
@@ -669,10 +750,18 @@ fn advance_decode(eng: &mut Engine<'_>, a: &mut ActiveJob, now: f64) -> bool {
 struct Prefilling {
     job: Job,
     remaining_prompt: u64,
+    /// When the first chunk began.
+    dispatch_s: f64,
 }
 
-/// The resilient mirror of `serving::simulate_chunked`.
-fn run_chunked(mut eng: Engine<'_>, chunk_tokens: u64) -> ResilienceReport {
+/// Iteration-level scheduling with Sarathi-style chunked prefill: one
+/// prompt at a time is processed `chunk_tokens` per iteration, fused with
+/// the running batch's decode step, which bounds the decode stall a long
+/// prompt can cause.
+fn run_chunked<B: CostModel + ?Sized>(
+    mut eng: Engine<'_, B>,
+    chunk_tokens: u64,
+) -> ResilienceReport {
     let max_batch = eng.cfg.serving.max_batch as usize;
     let mut active: Vec<ActiveJob> = Vec::new();
     let mut prefilling: Option<Prefilling> = None;
@@ -688,8 +777,7 @@ fn run_chunked(mut eng: Engine<'_>, chunk_tokens: u64) -> ResilienceReport {
         eng.expire_queued(now);
 
         // Admit one request into the prefilling slot when there is room,
-        // pulling a future arrival forward only when decode is idle
-        // (baseline semantics).
+        // pulling a future arrival forward only when decode is idle.
         if prefilling.is_none() && active.len() < max_batch {
             if let Some(job) = eng.queue.front() {
                 // Same KV-aware gate as the iteration-level loop: a busy
@@ -700,6 +788,7 @@ fn run_chunked(mut eng: Engine<'_>, chunk_tokens: u64) -> ResilienceReport {
                         prefilling = Some(Prefilling {
                             remaining_prompt: job.prefill_len(),
                             job,
+                            dispatch_s: now,
                         });
                     }
                 }
@@ -709,6 +798,7 @@ fn run_chunked(mut eng: Engine<'_>, chunk_tokens: u64) -> ResilienceReport {
                     prefilling = Some(Prefilling {
                         remaining_prompt: p.job.prefill_len(),
                         job: p.job,
+                        dispatch_s: now,
                     });
                 }
             }
@@ -727,7 +817,8 @@ fn run_chunked(mut eng: Engine<'_>, chunk_tokens: u64) -> ResilienceReport {
         }
 
         // One fused iteration: a prompt chunk (if any) plus one decode
-        // step, with the baseline's piggyback surcharge.
+        // step for the running batch. Decode tokens piggyback on the
+        // chunk's GEMMs, paying a modest interference surcharge.
         let decode_b = active.len() as u64;
         let (raw, chunk) = match (&prefilling, decode_b) {
             (Some(p), b) => {
@@ -796,7 +887,8 @@ fn run_chunked(mut eng: Engine<'_>, chunk_tokens: u64) -> ResilienceReport {
             }
             if let Some(p) = prefilling {
                 if p.remaining_prompt == 0 {
-                    eng.join(&mut active, p.job, now);
+                    let batch_at_dispatch = active.len() as u64 + 1;
+                    eng.join(&mut active, p.job, now, p.dispatch_s, batch_at_dispatch);
                     prefilling = None;
                 }
             }

@@ -5,17 +5,6 @@ use super::{ResilientOutcome, TerminalState};
 use crate::serving::SchedulingPolicy;
 use serde::Serialize;
 
-/// Linear-interpolation percentile over an unsorted sample.
-///
-/// `p` is in percent (`50.0` = median). Returns `NaN` for an empty sample,
-/// matching the "no data" semantics of the latency columns. Delegates to
-/// [`llmsim_report::percentile`] — the workspace's single percentile
-/// implementation — so fleet metrics and figure series agree exactly.
-#[must_use]
-pub fn percentile(values: &[f64], p: f64) -> f64 {
-    llmsim_report::percentile(values, p)
-}
-
 /// Everything a resilient serving run produced, with the fleet metrics the
 /// resilience experiments report.
 #[derive(Debug, Clone, Serialize)]
@@ -130,7 +119,9 @@ impl ResilienceReport {
         met as f64 / self.outcomes.len() as f64
     }
 
-    /// TTFT percentile (`p` in percent) over successful requests.
+    /// TTFT percentile (`p` in percent) over successful requests, by
+    /// [`llmsim_report::percentile`]'s linear interpolation (`NaN` when no
+    /// request succeeded).
     #[must_use]
     pub fn ttft_percentile(&self, p: f64) -> f64 {
         let v: Vec<f64> = self
@@ -139,7 +130,7 @@ impl ResilienceReport {
             .filter(|o| o.state.is_success())
             .filter_map(|o| o.ttft_s)
             .collect();
-        percentile(&v, p)
+        llmsim_report::percentile(&v, p)
     }
 
     /// End-to-end latency percentile (`p` in percent) over successful
@@ -152,7 +143,7 @@ impl ResilienceReport {
             .filter(|o| o.state.is_success())
             .map(|o| o.e2e_s)
             .collect();
-        percentile(&v, p)
+        llmsim_report::percentile(&v, p)
     }
 }
 
@@ -160,13 +151,52 @@ impl ResilienceReport {
 mod tests {
     use super::*;
 
+    fn report(outcomes: &[(TerminalState, f64)]) -> ResilienceReport {
+        ResilienceReport {
+            policy: SchedulingPolicy::IterationLevel,
+            outcomes: outcomes
+                .iter()
+                .enumerate()
+                .map(|(i, &(state, e2e_s))| ResilientOutcome {
+                    id: i as u64,
+                    state,
+                    queue_delay_s: 0.0,
+                    ttft_s: Some(e2e_s / 2.0),
+                    e2e_s,
+                    retries: 0,
+                    preemptions: 0,
+                })
+                .collect(),
+            makespan_s: 1.0,
+            generated_tokens: 0,
+            goodput_tokens: 0,
+            max_decode_stall_s: 0.0,
+            retries: 0,
+            preemptions: 0,
+            faults_injected: 0,
+            slowdowns_injected: 0,
+        }
+    }
+
     #[test]
     fn percentile_interpolates() {
-        let v = [4.0, 1.0, 3.0, 2.0];
-        assert!((percentile(&v, 0.0) - 1.0).abs() < 1e-12);
-        assert!((percentile(&v, 100.0) - 4.0).abs() < 1e-12);
-        assert!((percentile(&v, 50.0) - 2.5).abs() < 1e-12);
-        assert!(percentile(&[], 50.0).is_nan());
-        assert!((percentile(&[7.0], 99.0) - 7.0).abs() < 1e-12);
+        // Interpolates over successful requests only: the rejected one's
+        // 100 s never enters the sample.
+        let rep = report(&[
+            (TerminalState::Completed, 4.0),
+            (TerminalState::Rejected, 100.0),
+            (TerminalState::Completed, 1.0),
+            (TerminalState::PreemptedThenCompleted, 3.0),
+            (TerminalState::Completed, 2.0),
+        ]);
+        assert!((rep.e2e_percentile(0.0) - 1.0).abs() < 1e-12);
+        assert!((rep.e2e_percentile(100.0) - 4.0).abs() < 1e-12);
+        assert!((rep.e2e_percentile(50.0) - 2.5).abs() < 1e-12);
+        assert!((rep.ttft_percentile(50.0) - 1.25).abs() < 1e-12);
+        assert!(report(&[(TerminalState::Rejected, 1.0)])
+            .e2e_percentile(50.0)
+            .is_nan());
+        let one = report(&[(TerminalState::Completed, 7.0)]);
+        assert!((one.e2e_percentile(99.0) - 7.0).abs() < 1e-12);
     }
 }

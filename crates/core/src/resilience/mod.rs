@@ -27,16 +27,17 @@
 //!   pressure, preempt-and-requeue the lowest-priority sequence
 //!   (recompute semantics, vLLM-style) instead of failing the batch.
 //!
-//! Every admitted request reaches exactly one [`TerminalState`], and with
-//! all features disabled ([`ResilienceConfig::passthrough`]) the engine
-//! reproduces [`crate::serving::simulate`] byte-for-byte — tested by the
-//! conservation and equivalence property tests.
+//! Every admitted request reaches exactly one [`TerminalState`] (the
+//! conservation property test checks it). The engine's iteration-level and
+//! chunked-prefill loops are the only ones in the workspace:
+//! [`crate::serving::simulate`] runs those policies through them under
+//! [`ResilienceConfig::passthrough`], which disables every feature above.
 
-mod engine;
+pub(crate) mod engine;
 mod metrics;
 
 pub use engine::simulate_resilient;
-pub use metrics::{percentile, ResilienceReport};
+pub use metrics::ResilienceReport;
 
 #[cfg(test)]
 mod rng_tests {
@@ -364,8 +365,10 @@ pub struct ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// A configuration with every resilience feature disabled: the engine
-    /// must reproduce [`crate::serving::simulate`] exactly under it.
+    /// A configuration with every resilience feature disabled: the one
+    /// [`crate::serving::simulate`] runs its iteration-level and
+    /// chunked-prefill policies under. The seed is inert, since nothing
+    /// draws from it.
     #[must_use]
     pub fn passthrough(serving: ServingConfig, seed: u64) -> Self {
         ResilienceConfig {
@@ -469,8 +472,11 @@ pub struct ResilientOutcome {
     pub id: u64,
     /// How the request ended.
     pub state: TerminalState,
-    /// Wait from arrival to first token of the *successful* attempt
-    /// (mirrors the plain simulator's definition), clamped at 0.
+    /// Arrival → first token of the final attempt, clamped at 0: the
+    /// iteration-level definition of
+    /// [`crate::serving::RequestOutcome::queue_delay_s`], so it includes
+    /// that attempt's prefill. A request that never got a first token
+    /// reports its whole e2e latency.
     pub queue_delay_s: f64,
     /// Arrival → first token, if any token was ever delivered.
     pub ttft_s: Option<f64>,

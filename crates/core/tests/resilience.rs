@@ -1,6 +1,8 @@
 //! Resilience-layer integration tests: exact passthrough equivalence with
-//! the plain serving simulator, byte-level determinism under a fixed seed,
-//! and the terminal-state conservation invariants.
+//! the plain serving simulator (which runs through the same loops, so
+//! these check the report mapping), single-token retirement, byte-level
+//! determinism under a fixed seed, and the terminal-state conservation
+//! invariants.
 
 use llmsim_core::resilience::{
     simulate_resilient, AdmissionPolicy, DegradationPolicy, FaultModel, ResilienceConfig,
@@ -73,8 +75,10 @@ fn stressed_config(policy: SchedulingPolicy, seed: u64) -> ResilienceConfig {
 
 #[test]
 fn passthrough_matches_plain_simulator_exactly() {
-    // The acceptance bar: fault rate 0 + no deadlines reproduces the plain
-    // simulator bit-for-bit, per request AND per aggregate.
+    // The plain simulator runs these policies through the resilient loops
+    // under passthrough, so this checks the report mapping: fault rate 0 +
+    // no deadlines gives the plain report bit-for-bit, per request AND per
+    // aggregate, whatever the (inert) seed.
     let model = families::opt_6_7b();
     let reqs = requests(14, 0.04);
     for policy in policies() {
