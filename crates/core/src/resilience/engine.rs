@@ -1,6 +1,6 @@
-//! The single-server scheduler: the only iteration-level and
-//! chunked-prefill loops in the workspace, with fault injection, deadlines,
-//! admission control, retry, and preemption hooks.
+//! The single-server scheduler: the one iteration-level and the one
+//! chunked-prefill loop, with fault injection, deadlines, admission
+//! control, retry, and preemption hooks.
 //!
 //! [`crate::serving::simulate`] runs both policies through these loops
 //! under [`super::ResilienceConfig::passthrough`], where every hook is

@@ -29,7 +29,7 @@
 //!
 //! Every admitted request reaches exactly one [`TerminalState`] (the
 //! conservation property test checks it). The engine's iteration-level and
-//! chunked-prefill loops are the only ones in the workspace:
+//! chunked-prefill loops are the only single-server ones:
 //! [`crate::serving::simulate`] runs those policies through them under
 //! [`ResilienceConfig::passthrough`], which disables every feature above.
 
@@ -367,8 +367,8 @@ pub struct ResilienceConfig {
 impl ResilienceConfig {
     /// A configuration with every resilience feature disabled: the one
     /// [`crate::serving::simulate`] runs its iteration-level and
-    /// chunked-prefill policies under. The seed is inert, since nothing
-    /// draws from it.
+    /// chunked-prefill policies under. The seed is inert: with every
+    /// probability zero, no draw changes the run.
     #[must_use]
     pub fn passthrough(serving: ServingConfig, seed: u64) -> Self {
         ResilienceConfig {
